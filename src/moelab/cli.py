@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from moelab.core import Rng, finite_diff_grad
+from moelab.core import Rng, finite_diff_grad, softmax
 from moelab.epsim import balance_trial
 from moelab.expansion import (
     activation_stats,
@@ -202,9 +202,7 @@ def _cmd_gradcheck_ste(args) -> int:
     for trial in range(args.trials):
         tau = taus[trial % len(taus)]
         z = rng.normal(args.n)
-        p = np.exp(z - z.max())
-        p /= p.sum()
-        sel = topk_select(p, args.k)
+        sel = topk_select(softmax(z), args.k)
         up = rng.normal(args.k)
 
         def loss(zv, tau=tau, sel=sel, up=up):

@@ -2,11 +2,12 @@
 
 Everything downstream computes in float64. Vectors and matrices are plain
 numpy arrays (row-major, C order); the helpers here coerce and validate
-them. Randomness comes from :class:`Rng`, a counter-based generator whose
-output stream depends only on ``(seed, counter)`` so test vectors are
-portable across platforms and languages. :func:`finite_diff_grad` is the
-independent oracle every analytic-gradient rule in this package is checked
-against.
+them, and :func:`softmax` / :func:`log_softmax` are the package's only
+normalizers (last axis, max-shifted). Randomness comes from :class:`Rng`,
+a counter-based generator whose output stream depends only on ``(seed,
+counter)`` so test vectors are portable across platforms and languages.
+:func:`finite_diff_grad` is the independent oracle every analytic-gradient
+rule in this package is checked against.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ from collections.abc import Callable
 
 import numpy as np
 
-__all__ = ["Rng", "finite_diff_grad", "as_vector", "as_matrix"]
+__all__ = [
+    "Rng", "finite_diff_grad", "as_vector", "as_matrix", "softmax", "log_softmax",
+]
 
 _U64 = np.uint64
 _GOLDEN = _U64(0x9E3779B97F4A7C15)
@@ -37,6 +40,18 @@ def as_matrix(x, name: str = "m") -> np.ndarray:
     if a.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {a.shape}")
     return a
+
+
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis, shifted by the row max for stability."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def log_softmax(z: np.ndarray) -> np.ndarray:
+    """Log-softmax along the last axis: ``z - logsumexp(z)``, max-shifted."""
+    m = z.max(axis=-1, keepdims=True)
+    return z - (m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True)))
 
 
 class Rng:

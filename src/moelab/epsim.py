@@ -22,8 +22,8 @@ from moelab.core import Rng, as_matrix
 from moelab.routing import (
     MoeLayerSpec,
     RoutingMode,
-    grouped_select_batch,
     router_probs_batch,
+    select,
     topk_select_batch,
 )
 
@@ -70,13 +70,7 @@ def dispatch(
             f"grouped dispatch needs one group per device "
             f"(groups={spec.num_groups}, devices={num_devices})"
         )
-    probs = router_probs_batch(b, w_router)
-    if mode == "grouped":
-        sel = grouped_select_batch(probs, spec)
-    elif mode == "plain_topk":
-        sel = topk_select_batch(probs, spec.active_k)
-    else:
-        raise ValueError(f"unknown routing mode {mode!r}")
+    sel = select(router_probs_batch(b, w_router), spec, mode)
     per_device = n // num_devices
     counts = np.bincount((sel // per_device).ravel(), minlength=num_devices)
     return LoadReport(

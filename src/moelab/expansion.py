@@ -20,6 +20,7 @@ binary format so expansion is drivable from the command line.
 
 from __future__ import annotations
 
+import io
 import struct
 from dataclasses import dataclass
 from typing import BinaryIO, Literal
@@ -241,6 +242,12 @@ def save_layer(fp: BinaryIO, w_router, bank: ExpertBank) -> None:
 
 
 def load_layer(fp: BinaryIO) -> tuple[np.ndarray, ExpertBank]:
+    """Read a checkpoint written by :func:`save_layer` from a seekable stream.
+
+    The payload size the header declares is checked against the bytes left
+    in the stream before anything is read, so a crafted header cannot make
+    the reader allocate more than the input holds.
+    """
     header = fp.read(_HEADER.size)
     if len(header) < _HEADER.size:
         raise CheckpointError("truncated checkpoint header")
@@ -250,10 +257,15 @@ def load_layer(fp: BinaryIO) -> tuple[np.ndarray, ExpertBank]:
     if version != _VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     counts = [n * d, n * hidden * d, n * d * hidden]
-    payload = fp.read(8 * sum(counts))
-    if len(payload) < 8 * sum(counts):
-        raise CheckpointError("truncated checkpoint payload")
-    flat = np.frombuffer(payload, dtype="<f8")
+    size = 8 * sum(counts)
+    start = fp.tell()
+    available = fp.seek(0, io.SEEK_END) - start
+    fp.seek(start)
+    if size > available:
+        raise CheckpointError(
+            f"truncated checkpoint payload: {size} bytes declared, {available} left"
+        )
+    flat = np.frombuffer(fp.read(size), dtype="<f8")
     w = flat[: counts[0]].reshape(n, d).astype(np.float64)
     w_in = flat[counts[0] : counts[0] + counts[1]].reshape(n, hidden, d).astype(np.float64)
     w_out = flat[counts[0] + counts[1] :].reshape(n, d, hidden).astype(np.float64)

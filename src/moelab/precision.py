@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from moelab.core import Rng
+from moelab.core import Rng, log_softmax
 from moelab.rlloss import engine_kl
 from moelab.routing import ExpertBank, MoeLayerSpec, route_token
 
@@ -255,11 +255,6 @@ def mixed_forward(
     return apply_format(head, policy.lm_head) @ y
 
 
-def _log_softmax(z: np.ndarray) -> np.ndarray:
-    m = z.max()
-    return z - (m + np.log(np.exp(z - m).sum()))
-
-
 def divergence_trial(
     policy: PrecisionPolicy,
     seed: int,
@@ -291,8 +286,8 @@ def divergence_trial(
     ref_logits = mixed_forward(x, bank, w_router, head, spec, POLICIES["ref64"])
     pol_logits = mixed_forward(x, bank, w_router, head, spec, policy)
 
-    lp_ref = _log_softmax(ref_logits)
-    lp_pol = _log_softmax(pol_logits)
+    lp_ref = log_softmax(ref_logits)
+    lp_pol = log_softmax(pol_logits)
     cdf = np.cumsum(np.exp(lp_ref))
     counts = np.diff(np.floor(cdf * samples).astype(np.int64), prepend=0)
     tokens = np.repeat(np.arange(vocab), np.maximum(counts, 0))

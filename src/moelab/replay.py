@@ -28,9 +28,8 @@ from moelab.routing import (
     RoutingDecision,
     RoutingMode,
     gate_weights,
-    grouped_select_batch,
     router_probs_batch,
-    topk_select_batch,
+    select,
 )
 
 __all__ = [
@@ -124,13 +123,7 @@ def record_trace(
     for w, spec in layers:
         if spec.num_experts > MAX_EXPERTS:
             raise ValueError(f"trace format caps experts at {MAX_EXPERTS}")
-        probs = router_probs_batch(b, w)
-        if mode == "grouped":
-            sel = grouped_select_batch(probs, spec)
-        elif mode == "plain_topk":
-            sel = topk_select_batch(probs, spec.active_k)
-        else:
-            raise ValueError(f"unknown routing mode {mode!r}")
+        sel = select(router_probs_batch(b, w), spec, mode)
         per_layer.append(sel.astype(np.uint16))
     stacked = np.stack(per_layer, axis=1)
     assert stacked.shape == (b.shape[0], len(layers), k)

@@ -33,7 +33,7 @@ from typing import IO
 
 import numpy as np
 
-from moelab.core import as_vector
+from moelab.core import as_vector, log_softmax, softmax
 
 __all__ = [
     "MaskConfig",
@@ -205,12 +205,7 @@ class ToyPolicy:
 
     def log_probs(self) -> list[np.ndarray]:
         """log softmax(logits)[t, tokens[t]] per response."""
-        out = []
-        for l, t in zip(self.logits, self.tokens):
-            m = l.max(axis=1, keepdims=True)
-            lse = m[:, 0] + np.log(np.exp(l - m).sum(axis=1))
-            out.append(l[np.arange(t.size), t] - lse)
-        return out
+        return [log_softmax(l)[np.arange(t.size), t] for l, t in zip(self.logits, self.tokens)]
 
 
 def batch_from_policy(
@@ -249,10 +244,7 @@ def rl_loss_grad(
     g = batch.group_size
     grads = []
     for i, (logits, toks) in enumerate(zip(policy.logits, policy.tokens)):
-        m = logits.max(axis=1, keepdims=True)
-        e = np.exp(logits - m)
-        probs = e / e.sum(axis=1, keepdims=True)
-        direction = -probs
+        direction = -softmax(logits)
         direction[np.arange(toks.size), toks] += 1.0
         scale = -result.per_token_coef[i] / (g * toks.size)
         grads.append(scale[:, None] * direction)

@@ -15,6 +15,17 @@ gradient on every token, selected or not.
 Ties in any selection are broken toward the lower expert index and
 selections are returned in ascending index order. Both choices are
 load-bearing: replay verification compares selections index-for-index.
+
+The routing core is batch-first: :func:`router_probs_batch`, one block
+top-k kernel behind :func:`topk_select_batch` and
+:func:`grouped_select_batch` (plain top-k is a single block), and
+:func:`select`, the one routing-mode dispatch. :func:`router_probs`,
+:func:`topk_select`, :func:`grouped_select` and :func:`route_token` are
+1-row views of them. That direction keeps outputs bit-for-bit: a 1-row
+``x[None] @ W.T`` rounds exactly like ``W @ x``, but a T-row matrix
+product rounds differently from T matrix-vector products, so batch code
+must not become a loop of per-token calls, nor per-token callers one
+batch call.
 """
 
 from __future__ import annotations
@@ -24,7 +35,7 @@ from typing import Literal
 
 import numpy as np
 
-from moelab.core import as_matrix, as_vector
+from moelab.core import as_matrix, as_vector, softmax
 
 __all__ = [
     "RoutingMode",
@@ -42,6 +53,7 @@ __all__ = [
     "router_probs_batch",
     "topk_select_batch",
     "grouped_select_batch",
+    "select",
 ]
 
 RoutingMode = Literal["plain_topk", "grouped"]
@@ -165,60 +177,93 @@ class RoutingDecision:
                 raise ValueError("logits length must match probs")
 
 
-def _stable_softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max()
-    e = np.exp(shifted)
-    return e / e.sum()
+def _router_logits(tokens, w_router, temperature: float) -> np.ndarray:
+    """(T, N) logits ``(tokens @ W.T) / temperature``; rejects non-finite ones."""
+    if not temperature > 0:
+        raise ValueError(f"temperature must be positive, got {temperature}")
+    t = as_matrix(tokens, "tokens")
+    w = as_matrix(w_router, "w_router")
+    if w.shape[1] != t.shape[1]:
+        raise ValueError(f"router shape {w.shape} incompatible with token dim {t.shape[1]}")
+    z = (t @ w.T) / temperature
+    if not np.all(np.isfinite(z)):
+        tok, exp = np.argwhere(~np.isfinite(z))[0]
+        raise ValueError(f"non-finite router logit for expert {exp} (token {tok})")
+    return z
+
+
+def router_probs_batch(tokens, w_router, temperature: float = 1.0) -> np.ndarray:
+    """Routing probabilities ``softmax((tokens @ W.T) / temperature)`` per row.
+
+    Each row sums to 1 within 1e-12. Raises on a non-finite logit, naming
+    the offending expert and token.
+    """
+    return softmax(_router_logits(tokens, w_router, temperature))
 
 
 def router_probs(x, w_router, temperature: float = 1.0) -> np.ndarray:
-    """Routing probabilities ``softmax((W @ x) / temperature)``.
+    """1-row view of :func:`router_probs_batch` for one token ``x``."""
+    return router_probs_batch(as_vector(x, "x")[None], w_router, temperature)[0]
 
-    Computed with max-subtraction; sums to 1 within 1e-12. Raises on a
-    non-finite logit, naming the offending expert index.
+
+def _block_topk(probs: np.ndarray, num_groups: int, take: int) -> np.ndarray:
+    """The selection kernel: top-``take`` of each contiguous block of each row.
+
+    Returns (T, num_groups * take) indices, ascending per row. The stable
+    sort of negated probabilities breaks ties toward the lower index.
     """
-    if not temperature > 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    xv = as_vector(x, "x")
-    w = as_matrix(w_router, "w_router")
-    if w.shape[1] != xv.size:
-        raise ValueError(f"router shape {w.shape} incompatible with token dim {xv.size}")
-    z = (w @ xv) / temperature
-    bad = np.flatnonzero(~np.isfinite(z))
-    if bad.size:
-        raise ValueError(f"non-finite router logit for expert {bad[0]}")
-    return _stable_softmax(z)
+    t, n = probs.shape
+    size = n // num_groups
+    order = np.argsort(-probs.reshape(t, num_groups, size), axis=2, kind="stable")
+    offsets = (np.arange(num_groups) * size)[None, :, None]
+    flat = (order[:, :, :take] + offsets).reshape(t, num_groups * take)
+    return np.sort(flat, axis=1).astype(np.int64)
+
+
+def topk_select_batch(probs, k: int) -> np.ndarray:
+    """Per row, the k largest entries (lower index winning ties) as (T, k)
+    ascending indices: block top-k with a single block."""
+    pm = as_matrix(probs, "probs")
+    if not 1 <= k <= pm.shape[1]:
+        raise ValueError(f"k must satisfy 1 <= k <= {pm.shape[1]}, got {k}")
+    return _block_topk(pm, 1, k)
+
+
+def grouped_select_batch(probs, spec: MoeLayerSpec) -> np.ndarray:
+    """Per row, the union of per-group top-(k/G) selections; (T, k) ascending.
+
+    Group g owns indices [g*N/G, (g+1)*N/G); exactly k/G experts are taken
+    from each block, so every row has exactly ``spec.active_k`` entries
+    with a fixed per-block count.
+    """
+    pm = as_matrix(probs, "probs")
+    if pm.shape[1] != spec.num_experts:
+        raise ValueError(
+            f"probability width {pm.shape[1]} != num_experts {spec.num_experts}"
+        )
+    return _block_topk(pm, spec.num_groups, spec.k_per_group)
 
 
 def topk_select(p, k: int) -> np.ndarray:
-    """Indices of the k largest entries, lower index winning ties,
-    returned in ascending index order."""
-    pv = as_vector(p, "p")
-    if not 1 <= k <= pv.size:
-        raise ValueError(f"k must satisfy 1 <= k <= {pv.size}, got {k}")
-    order = np.argsort(-pv, kind="stable")
-    return np.sort(order[:k]).astype(np.int64)
+    """1-row view of :func:`topk_select_batch` for one probability vector."""
+    return topk_select_batch(as_vector(p, "p")[None], k)[0]
 
 
 def grouped_select(p, spec: MoeLayerSpec) -> np.ndarray:
-    """Union of per-group top-(k/G) selections over contiguous expert blocks.
+    """1-row view of :func:`grouped_select_batch` for one probability vector."""
+    return grouped_select_batch(as_vector(p, "p")[None], spec)[0]
 
-    Group g owns indices [g*N/G, (g+1)*N/G); exactly k/G experts are taken
-    from each block, so the result always has exactly ``spec.active_k``
-    entries with a fixed per-block count.
+
+def select(probs, spec: MoeLayerSpec, mode: RoutingMode) -> np.ndarray:
+    """(T, k) ascending expert indices per row of ``probs`` under ``mode``.
+
+    The one place a routing mode is interpreted.
     """
-    pv = as_vector(p, "p")
-    if pv.size != spec.num_experts:
-        raise ValueError(
-            f"probability vector length {pv.size} != num_experts {spec.num_experts}"
-        )
-    size, take = spec.group_size, spec.k_per_group
-    picks = []
-    for g in range(spec.num_groups):
-        block = pv[g * size : (g + 1) * size]
-        order = np.argsort(-block, kind="stable")
-        picks.append(order[:take] + g * size)
-    return np.sort(np.concatenate(picks)).astype(np.int64)
+    if mode == "grouped":
+        return grouped_select_batch(probs, spec)
+    if mode == "plain_topk":
+        return topk_select_batch(probs, spec.active_k)
+    raise ValueError(f"unknown routing mode {mode!r}")
 
 
 def gate_weights(p, selected) -> np.ndarray:
@@ -243,20 +288,10 @@ def route_token(
     Selection probabilities always use temperature 1; the layer temperature
     only enters the straight-through backward rule.
     """
-    xv = as_vector(x, "x")
-    w = as_matrix(w_router, "w_router")
-    z = w @ xv
-    bad = np.flatnonzero(~np.isfinite(z))
-    if bad.size:
-        raise ValueError(f"non-finite router logit for expert {bad[0]}")
-    p = _stable_softmax(z)
-    if mode == "grouped":
-        s = grouped_select(p, spec)
-    elif mode == "plain_topk":
-        s = topk_select(p, spec.active_k)
-    else:
-        raise ValueError(f"unknown routing mode {mode!r}")
-    return RoutingDecision(probs=p, selected=s, gates=gate_weights(p, s), logits=z)
+    z = _router_logits(as_vector(x, "x")[None], w_router, 1.0)
+    p = softmax(z)
+    s = select(p, spec, mode)[0]
+    return RoutingDecision(probs=p[0], selected=s, gates=gate_weights(p[0], s), logits=z[0])
 
 
 def moe_forward(x, bank: ExpertBank, decision: RoutingDecision) -> np.ndarray:
@@ -284,7 +319,7 @@ def ste_gate_value(z, selected, temperature: float = 1.0) -> np.ndarray:
     """
     del temperature
     zv = as_vector(z, "z")
-    return gate_weights(_stable_softmax(zv), selected)
+    return gate_weights(softmax(zv), selected)
 
 
 def ste_backward(upstream, z, selected, temperature: float = 1.0) -> np.ndarray:
@@ -308,46 +343,8 @@ def ste_backward(upstream, z, selected, temperature: float = 1.0) -> np.ndarray:
         raise ValueError("upstream must align positionally with selected")
     if np.any(s < 0) or np.any(s >= zv.size):
         raise ValueError(f"selected indices out of range [0, {zv.size})")
-    p = _stable_softmax(zv / temperature)
+    p = softmax(zv / temperature)
     u = np.zeros_like(zv)
     u[s] = up
     return p * (u - u @ p) / temperature
 
-
-def router_probs_batch(tokens, w_router, temperature: float = 1.0) -> np.ndarray:
-    """Row-wise :func:`router_probs` over a (T, d) token batch."""
-    if not temperature > 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    t = as_matrix(tokens, "tokens")
-    w = as_matrix(w_router, "w_router")
-    z = (t @ w.T) / temperature
-    if not np.all(np.isfinite(z)):
-        tok, exp = np.argwhere(~np.isfinite(z))[0]
-        raise ValueError(f"non-finite router logit for expert {exp} (token {tok})")
-    z -= z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def topk_select_batch(probs, k: int) -> np.ndarray:
-    """Row-wise :func:`topk_select`: (T, k) ascending indices per token."""
-    pm = as_matrix(probs, "probs")
-    if not 1 <= k <= pm.shape[1]:
-        raise ValueError(f"k must satisfy 1 <= k <= {pm.shape[1]}, got {k}")
-    order = np.argsort(-pm, axis=1, kind="stable")[:, :k]
-    return np.sort(order, axis=1).astype(np.int64)
-
-
-def grouped_select_batch(probs, spec: MoeLayerSpec) -> np.ndarray:
-    """Row-wise :func:`grouped_select`: (T, k) ascending indices per token."""
-    pm = as_matrix(probs, "probs")
-    t = pm.shape[0]
-    if pm.shape[1] != spec.num_experts:
-        raise ValueError(
-            f"probability width {pm.shape[1]} != num_experts {spec.num_experts}"
-        )
-    blocks = pm.reshape(t, spec.num_groups, spec.group_size)
-    order = np.argsort(-blocks, axis=2, kind="stable")[:, :, : spec.k_per_group]
-    offsets = (np.arange(spec.num_groups) * spec.group_size)[None, :, None]
-    flat = (order + offsets).reshape(t, spec.active_k)
-    return np.sort(flat, axis=1).astype(np.int64)

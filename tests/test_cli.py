@@ -1,4 +1,5 @@
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -124,6 +125,16 @@ class TestExpand:
         code = run(["expand", "--input", str(tmp_path / "nope.bin"),
                     "--output", str(tmp_path / "out.bin")])
         assert code == 1
+
+    @pytest.mark.parametrize("dims", [(0xFFFFFFFF,) * 3, (2**20, 2**10, 2**10)])
+    def test_oversized_header_is_module_error(self, tmp_path, capsys, dims):
+        crafted = tmp_path / "crafted.bin"
+        crafted.write_bytes(struct.pack("<4sHIII", b"MOEC", 1, *dims))
+        code = run(["expand", "--input", str(crafted), "--output", str(tmp_path / "out.bin")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("moelab expand: ")
+        assert not (tmp_path / "out.bin").exists()
 
 
 class TestReplayVerify:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from moelab.core import Rng, as_matrix, as_vector, finite_diff_grad
+from moelab.core import Rng, as_matrix, as_vector, finite_diff_grad, log_softmax, softmax
 
 MASK64 = (1 << 64) - 1
 
@@ -113,3 +113,50 @@ class TestCoercion:
     def test_matrix_rank_enforced(self):
         with pytest.raises(ValueError):
             as_matrix([1.0, 2.0])
+
+
+def _softmax_row(row):
+    m = max(row)
+    e = [math.exp(v - m) for v in row]
+    total = math.fsum(e)
+    return [v / total for v in e]
+
+
+def _log_softmax_row(row):
+    m = max(row)
+    lse = m + math.log(math.fsum(math.exp(v - m) for v in row))
+    return [v - lse for v in row]
+
+
+class TestSoftmax:
+    # 1-D, 2-D (rows differ, so a reduction over the wrong axis shows),
+    # logits of +-1000, and a row of equal logits.
+    CASES = [
+        [0.3, -1.2, 2.5, 0.0],
+        [[1.0, 2.0, 3.0], [-1.0, 0.0, 5.0]],
+        [[1000.0, -1000.0, 999.0], [-1000.0, -1000.5, -999.0]],
+        [7.0, 7.0, 7.0, 7.0],
+    ]
+
+    @staticmethod
+    def _oracle(fn, z):
+        rows = np.atleast_2d(z).tolist()
+        return np.array([fn(r) for r in rows]).reshape(np.shape(z))
+
+    @pytest.mark.parametrize("z", CASES)
+    def test_softmax_matches_math_oracle(self, z):
+        z = np.array(z)
+        got = softmax(z)
+        assert got.shape == z.shape
+        np.testing.assert_allclose(got, self._oracle(_softmax_row, z), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(got.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("z", CASES)
+    def test_log_softmax_matches_math_oracle(self, z):
+        z = np.array(z)
+        got = log_softmax(z)
+        assert got.shape == z.shape and np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, self._oracle(_log_softmax_row, z), rtol=1e-14, atol=0)
+
+    def test_equal_logits_are_exactly_uniform(self):
+        assert np.array_equal(softmax(np.full((2, 4), 7.0)), np.full((2, 4), 0.25))

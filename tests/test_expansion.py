@@ -1,4 +1,5 @@
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -231,6 +232,12 @@ class TestCheckpointIO:
         data = buf.getvalue()
         with pytest.raises(CheckpointError, match="truncated"):
             load_layer(io.BytesIO(data[:-8]))
+
+    @pytest.mark.parametrize("dims", [(0xFFFFFFFF,) * 3, (2**20, 2**10, 2**10)])
+    def test_oversized_header_rejected_before_reading(self, dims):
+        header = struct.pack("<4sHIII", b"MOEC", 1, *dims)
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_layer(io.BytesIO(header + bytes(64)))
 
     def test_bad_magic_detected(self):
         with pytest.raises(CheckpointError, match="magic"):

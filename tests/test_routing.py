@@ -299,28 +299,38 @@ class TestSteBackward:
 
 
 class TestBatchForms:
-    def test_probs_match_per_token(self):
+    def test_probs_match_softmax_oracle(self):
         rng = Rng(81)
         x = rng.normal_matrix(20, 5)
         w = rng.normal_matrix(9, 5)
         batch = router_probs_batch(x, w, temperature=1.5)
         for t in range(20):
-            assert np.allclose(batch[t], router_probs(x[t], w, 1.5), atol=1e-15)
+            assert np.allclose(batch[t], softmax(w @ x[t] / 1.5), rtol=0, atol=1e-15)
 
-    def test_topk_match_per_token(self):
+    def test_topk_matches_enumeration_oracle(self):
         rng = Rng(82)
         p = router_probs_batch(rng.normal_matrix(50, 4), rng.normal_matrix(10, 4))
         sel = topk_select_batch(p, 3)
         for t in range(50):
-            assert np.array_equal(sel[t], topk_select(p[t], 3))
+            assert np.array_equal(sel[t], brute_topk(p[t], 3))
 
-    def test_grouped_match_per_token(self):
+    def test_grouped_matches_enumeration_oracle(self):
         spec = MoeLayerSpec(num_experts=12, active_k=4, num_groups=4, model_dim=4, hidden_dim=8)
         rng = Rng(83)
         p = router_probs_batch(rng.normal_matrix(50, 4), rng.normal_matrix(12, 4))
         sel = grouped_select_batch(p, spec)
         for t in range(50):
-            assert np.array_equal(sel[t], grouped_select(p[t], spec))
+            assert np.array_equal(sel[t], brute_grouped(p[t], spec))
+
+    def test_ties_match_enumeration_oracle(self):
+        # Dyadic scores: many exact ties, and subset sums the oracle adds exactly.
+        spec = MoeLayerSpec(num_experts=8, active_k=4, num_groups=2, model_dim=1, hidden_dim=1)
+        p = Rng(84).integers(40 * 8, 4).reshape(40, 8) * 0.125
+        plain = topk_select_batch(p, 3)
+        grouped = grouped_select_batch(p, spec)
+        for t in range(40):
+            assert np.array_equal(plain[t], brute_topk(p[t], 3))
+            assert np.array_equal(grouped[t], brute_grouped(p[t], spec))
 
 
 class TestRoutingDecisionInvariants:
