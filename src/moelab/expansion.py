@@ -246,7 +246,8 @@ def load_layer(fp: BinaryIO) -> tuple[np.ndarray, ExpertBank]:
 
     The payload size the header declares is checked against the bytes left
     in the stream before anything is read, so a crafted header cannot make
-    the reader allocate more than the input holds.
+    the reader allocate more than the input holds. The payload must end
+    the stream and every weight must be finite.
     """
     header = fp.read(_HEADER.size)
     if len(header) < _HEADER.size:
@@ -265,7 +266,12 @@ def load_layer(fp: BinaryIO) -> tuple[np.ndarray, ExpertBank]:
         raise CheckpointError(
             f"truncated checkpoint payload: {size} bytes declared, {available} left"
         )
+    if size < available:
+        raise CheckpointError(f"{available - size} trailing bytes after checkpoint payload")
     flat = np.frombuffer(fp.read(size), dtype="<f8")
+    if not np.isfinite(flat).all():
+        at = int(np.flatnonzero(~np.isfinite(flat))[0])
+        raise CheckpointError(f"non-finite checkpoint weight {flat[at]} at payload index {at}")
     w = flat[: counts[0]].reshape(n, d).astype(np.float64)
     w_in = flat[counts[0] : counts[0] + counts[1]].reshape(n, hidden, d).astype(np.float64)
     w_out = flat[counts[0] + counts[1] :].reshape(n, d, hidden).astype(np.float64)

@@ -15,6 +15,10 @@ gradient on every token, selected or not.
 Ties in any selection are broken toward the lower expert index and
 selections are returned in ascending index order. Both choices are
 load-bearing: replay verification compares selections index-for-index.
+Selection sorts nothing: each block's k-th largest probability is a
+threshold, entries above it are taken, and the remaining slots are filled
+with entries equal to it, lowest index first. Non-finite probabilities
+are rejected, since they have no place in that order.
 
 The routing core is batch-first: :func:`router_probs_batch`, one block
 top-k kernel behind :func:`topk_select_batch` and
@@ -209,21 +213,45 @@ def router_probs(x, w_router, temperature: float = 1.0) -> np.ndarray:
 def _block_topk(probs: np.ndarray, num_groups: int, take: int) -> np.ndarray:
     """The selection kernel: top-``take`` of each contiguous block of each row.
 
-    Returns (T, num_groups * take) indices, ascending per row. The stable
-    sort of negated probabilities breaks ties toward the lower index.
+    Returns (T, num_groups * take) indices, ascending per row, for finite
+    ``probs``. Nothing is sorted. ``np.partition`` gives each block's
+    ``take``-th largest value as its threshold; every entry strictly above
+    the threshold is kept, and the slots left go to entries equal to it,
+    lowest index first (``eq & (cumsum(eq) <= need)``), which is the
+    lower-index tie-break. Blocks without surplus ties keep exactly the
+    entries ``>=`` the threshold, so the tie fill runs only on blocks with
+    more tied entries than slots. ``np.nonzero`` on the row-major mask
+    returns each row's indices already ascending.
     """
     t, n = probs.shape
     size = n // num_groups
-    order = np.argsort(-probs.reshape(t, num_groups, size), axis=2, kind="stable")
-    offsets = (np.arange(num_groups) * size)[None, :, None]
-    flat = (order[:, :, :take] + offsets).reshape(t, num_groups * take)
-    return np.sort(flat, axis=1).astype(np.int64)
+    blocks = probs.reshape(t * num_groups, size)
+    kth = np.partition(blocks, size - take, axis=1)[:, size - take, None]
+    keep = blocks >= kth
+    if np.count_nonzero(keep) > t * num_groups * take:
+        over = np.flatnonzero(np.count_nonzero(keep, axis=1) > take)
+        sub, th = blocks[over], kth[over]
+        gt, eq = sub > th, sub == th
+        need = take - np.count_nonzero(gt, axis=1)[:, None]
+        keep[over] = gt | (eq & (np.cumsum(eq, axis=1) <= need))
+    return np.nonzero(keep.reshape(t, n))[1].reshape(t, num_groups * take)
+
+
+def _finite_probs(probs) -> np.ndarray:
+    """``probs`` as a float64 matrix; a non-finite entry raises ValueError
+    naming its row and column."""
+    pm = as_matrix(probs, "probs")
+    if not np.isfinite(pm).all():
+        row, col = np.argwhere(~np.isfinite(pm))[0]
+        raise ValueError(f"non-finite probability {pm[row, col]} at row {row}, column {col}")
+    return pm
 
 
 def topk_select_batch(probs, k: int) -> np.ndarray:
     """Per row, the k largest entries (lower index winning ties) as (T, k)
-    ascending indices: block top-k with a single block."""
-    pm = as_matrix(probs, "probs")
+    ascending indices: block top-k with a single block. Raises ValueError
+    on a non-finite probability."""
+    pm = _finite_probs(probs)
     if not 1 <= k <= pm.shape[1]:
         raise ValueError(f"k must satisfy 1 <= k <= {pm.shape[1]}, got {k}")
     return _block_topk(pm, 1, k)
@@ -234,9 +262,10 @@ def grouped_select_batch(probs, spec: MoeLayerSpec) -> np.ndarray:
 
     Group g owns indices [g*N/G, (g+1)*N/G); exactly k/G experts are taken
     from each block, so every row has exactly ``spec.active_k`` entries
-    with a fixed per-block count.
+    with a fixed per-block count. Raises ValueError on a non-finite
+    probability.
     """
-    pm = as_matrix(probs, "probs")
+    pm = _finite_probs(probs)
     if pm.shape[1] != spec.num_experts:
         raise ValueError(
             f"probability width {pm.shape[1]} != num_experts {spec.num_experts}"
@@ -267,8 +296,11 @@ def select(probs, spec: MoeLayerSpec, mode: RoutingMode) -> np.ndarray:
 
 
 def gate_weights(p, selected) -> np.ndarray:
-    """Probabilities restricted to the selected set, renormalized to sum 1."""
-    pv = as_vector(p, "p")
+    """Probabilities restricted to the selected set, renormalized to sum 1.
+
+    Raises ValueError on a non-finite probability anywhere in ``p``.
+    """
+    pv = _finite_probs(as_vector(p, "p")[None])[0]
     s = np.asarray(selected, dtype=np.int64)
     if s.size < 1:
         raise ValueError("selected set must be nonempty")

@@ -136,6 +136,25 @@ class TestExpand:
         assert err.count("\n") == 1 and err.startswith("moelab expand: ")
         assert not (tmp_path / "out.bin").exists()
 
+    @pytest.mark.parametrize("defect", ["trailing bytes", "non-finite checkpoint weight"])
+    def test_malformed_payload_is_module_error(self, tmp_path, capsys, defect):
+        rng = Rng(18)
+        spec = MoeLayerSpec(num_experts=4, active_k=1, num_groups=1, model_dim=3, hidden_dim=5)
+        buf = io.BytesIO()
+        save_layer(buf, rng.normal_matrix(4, 3), ExpertBank.random(rng, spec))
+        data = bytearray(buf.getvalue())
+        if defect == "trailing bytes":
+            data += bytes(8)
+        else:  # the first expert weight, past the 4x3 router
+            struct.pack_into("<d", data, 18 + 8 * 12, float("nan"))
+        crafted = tmp_path / "crafted.bin"
+        crafted.write_bytes(bytes(data))
+        code = run(["expand", "--input", str(crafted), "--output", str(tmp_path / "out.bin")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("moelab expand: ") and defect in err
+        assert not (tmp_path / "out.bin").exists()
+
 
 class TestReplayVerify:
     def test_record_then_replay_from_file(self, tmp_path):

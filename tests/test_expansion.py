@@ -1,4 +1,5 @@
 import io
+import math
 import struct
 
 import numpy as np
@@ -238,6 +239,25 @@ class TestCheckpointIO:
         header = struct.pack("<4sHIII", b"MOEC", 1, *dims)
         with pytest.raises(CheckpointError, match="truncated"):
             load_layer(io.BytesIO(header + bytes(64)))
+
+    def _saved(self):
+        rng = Rng(22)
+        spec = MoeLayerSpec(num_experts=2, active_k=1, num_groups=1, model_dim=3, hidden_dim=4)
+        buf = io.BytesIO()
+        save_layer(buf, rng.normal_matrix(2, 3), ExpertBank.random(rng, spec))
+        return buf.getvalue()
+
+    def test_trailing_bytes_rejected(self):
+        with pytest.raises(CheckpointError, match="8 trailing bytes"):
+            load_layer(io.BytesIO(self._saved() + bytes(8)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("index", [0, 6, 53])  # first router, first w_in, last w_out
+    def test_nonfinite_weight_rejected(self, bad, index):
+        data = bytearray(self._saved())
+        struct.pack_into("<d", data, struct.calcsize("<4sHIII") + 8 * index, bad)
+        with pytest.raises(CheckpointError, match=f"non-finite checkpoint weight .* index {index}$"):
+            load_layer(io.BytesIO(bytes(data)))
 
     def test_bad_magic_detected(self):
         with pytest.raises(CheckpointError, match="magic"):

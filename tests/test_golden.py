@@ -27,6 +27,16 @@ CASES = {
         ["balance-sim", "--mode", "plain_topk", "--trials", "3", "--tokens", "1024", "--seed", "5"],
         [],
     ),
+    "balance-scaled-grouped": (
+        ["balance-sim", "--mode", "grouped", "--experts", "1024", "--k", "8", "--groups", "8",
+         "--devices", "8", "--tokens", "4096", "--trials", "1", "--seed", "5"],
+        [],
+    ),
+    "balance-scaled-plain": (
+        ["balance-sim", "--mode", "plain_topk", "--experts", "1024", "--k", "8", "--groups", "8",
+         "--devices", "8", "--tokens", "4096", "--trials", "1", "--seed", "5"],
+        [],
+    ),
     "replay-grouped": (
         ["replay-verify", "--mode", "grouped", "--tokens", "64", "--layers", "3", "--seed", "3",
          "--record-trace", "{trace}"],
@@ -64,6 +74,12 @@ DIGESTS = {
     },
     "balance-plain": {
         "csv": "0960b31cfa628427f7ef6e34d5c4de2df35acf30eb4b02e2e8b852127307d836",
+    },
+    "balance-scaled-grouped": {
+        "csv": "2d704495e735df550b50ba7be5247f5452b5bdc59e232781c42db1fb9bfdb929",
+    },
+    "balance-scaled-plain": {
+        "csv": "8e60d841d0be4e4c988e7ea8ab500c0deb524ab414d3d2c1dd7149b4642979a5",
     },
     "expand": {
         "csv": "7574a5ef53b34de0c5183083c457e805e9a9c685c09b4d484b53821ed9d8ed99",

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from helpers import brute_grouped, brute_topk, linear_bank
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from moelab.core import Rng, finite_diff_grad
 from moelab.routing import (
@@ -16,6 +18,7 @@ from moelab.routing import (
     route_token,
     router_probs,
     router_probs_batch,
+    select,
     ste_backward,
     ste_gate_value,
     topk_select,
@@ -331,6 +334,90 @@ class TestBatchForms:
         for t in range(40):
             assert np.array_equal(plain[t], brute_topk(p[t], 3))
             assert np.array_equal(grouped[t], brute_grouped(p[t], spec))
+
+
+# A few dyadic values, both zeros among them: exact ties in almost every
+# block, and subset sums the enumeration oracles add exactly.
+TIED = st.sampled_from([-0.0, 0.0, 0.125, 0.25, 0.5])
+
+
+@st.composite
+def tied_rows(draw, max_groups, max_size):
+    """(probs, num_groups, take): 1-3 rows of ``num_groups`` blocks."""
+    groups = draw(st.integers(1, max_groups))
+    size = draw(st.integers(1, max_size))
+    take = draw(st.integers(1, size))
+    rows = draw(st.integers(1, 3))
+    n = groups * size
+    p = np.array(draw(st.lists(TIED, min_size=rows * n, max_size=rows * n)))
+    return p.reshape(rows, n), groups, take
+
+
+class TestSelectionProperties:
+    """The selection kernel against the enumeration oracles on tie-heavy input."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_rows(max_groups=4, max_size=5))
+    @example((np.array([[0.25, 0.5, 0.5, 0.0]]), 2, 1))  # take == 1
+    @example((np.array([[0.0, -0.0, 0.125, 0.125]]), 2, 2))  # take == group size
+    @example((np.array([[0.125, 0.5, 0.125, 0.25, 0.125]]), 1, 3))  # one group, straddling tie
+    @example((np.array([[-0.0, 0.0, -0.0, 0.0, 0.0, -0.0]]), 3, 1))  # signed-zero ties
+    def test_grouped_matches_oracle(self, case):
+        p, groups, take = case
+        n = p.shape[1]
+        spec = MoeLayerSpec(num_experts=n, active_k=groups * take, num_groups=groups,
+                            model_dim=1, hidden_dim=1)
+        got = grouped_select_batch(p, spec)
+        assert got.shape == (p.shape[0], spec.active_k)
+        for row, sel in zip(p, got):
+            assert np.array_equal(sel, brute_grouped(row, spec))
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_rows(max_groups=1, max_size=10))
+    @example((np.array([[0.125, 0.25, 0.125, 0.5, 0.125, 0.125]]), 1, 3))  # straddling tie
+    @example((np.array([[-0.0, 0.0, 0.0, -0.0]]), 1, 2))  # signed-zero ties
+    @example((np.array([[0.5, 0.5, 0.5]]), 1, 3))  # k == N
+    def test_topk_matches_oracle(self, case):
+        p, _, k = case
+        got = topk_select_batch(p, k)
+        for row, sel in zip(p, got):
+            assert np.array_equal(sel, brute_topk(row, k))
+
+
+SPEC_4X2 = MoeLayerSpec(num_experts=4, active_k=2, num_groups=2, model_dim=1, hidden_dim=1)
+
+
+class TestNonFiniteProbabilities:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p: topk_select_batch(p, 2),
+            lambda p: grouped_select_batch(p, SPEC_4X2),
+            lambda p: select(p, SPEC_4X2, "plain_topk"),
+            lambda p: select(p, SPEC_4X2, "grouped"),
+        ],
+        ids=["topk_batch", "grouped_batch", "select_plain", "select_grouped"],
+    )
+    def test_batch_entry_points_name_the_entry(self, call, bad):
+        p = np.full((3, 4), 0.25)
+        p[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite probability .* row 1, column 2"):
+            call(p)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p: topk_select(p, 2),
+            lambda p: grouped_select(p, SPEC_4X2),
+            lambda p: gate_weights(p, [0, 2]),
+        ],
+        ids=["topk", "grouped", "gate_weights"],
+    )
+    def test_vector_entry_points_name_the_entry(self, call, bad):
+        with pytest.raises(ValueError, match="non-finite probability .* row 0, column 1"):
+            call([0.1, bad, 0.5, 0.4])
 
 
 class TestRoutingDecisionInvariants:
