@@ -8,7 +8,14 @@ float64, so matmuls between rounding points stay in reference precision
 Supported formats: ``fp8_e4m3`` (4 exponent / 3 mantissa bits, bias 7, no
 infinities, max normal 448, per-tensor amax scaling), ``bf16`` (8-bit
 significand; emulated by direct mantissa rounding, exponent range not
-clamped), ``fp32`` (IEEE single), and ``fp64`` (identity).
+clamped), ``fp32`` (IEEE single), and ``fp64`` (identity). Rounding
+rejects non-finite input and a value that overflows the target, naming
+the first offending index.
+
+For fp8, a tensor is an array of up to two dimensions; :func:`apply_format`
+treats an array of three or more as a stack in which every trailing matrix
+is its own tensor with its own scale, so a stack of expert weights rounds
+in one call exactly as its matrices would one by one.
 
 A :class:`PrecisionPolicy` assigns one format to each layer class of a toy
 expert-mixture language model: expert FFN weights, non-expert weights (the
@@ -26,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from moelab.core import Rng, log_softmax
-from moelab.rlloss import engine_kl
+from moelab.rlloss import EngineKl
 from moelab.routing import ExpertBank, MoeLayerSpec, route_token
 
 __all__ = [
@@ -106,24 +113,24 @@ class QuantizedFp8:
         self.codes = np.asarray(self.codes, dtype=np.uint8)
 
 
-def quantize_fp8(
-    v, fmt: Fp8Format = E4M3, scale: float | None = None
-) -> QuantizedFp8:
-    """Round-to-nearest-even onto the fp8 grid with per-tensor scaling.
+def _require_finite(a: np.ndarray, problem: str) -> np.ndarray:
+    """Return ``a``, or raise ``problem`` at the row-major first non-finite element."""
+    bad = ~np.isfinite(a)
+    if bad.any():
+        i = int(np.argmax(bad))
+        at = i if a.ndim == 1 else tuple(int(j) for j in np.unravel_index(i, a.shape))
+        raise ValueError(f"{problem} at index {at}")
+    return a
 
-    The default scale maps the tensor's absolute maximum onto the format's
-    max normal; an all-zero tensor gets scale 1. Out-of-range magnitudes
-    saturate to the max normal (or raise when the format is non-saturating).
-    """
-    a = np.asarray(v, dtype=np.float64)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("quantize_fp8 requires finite inputs")
-    if scale is None:
-        amax = float(np.max(np.abs(a))) if a.size else 0.0
-        scale = fmt.max_normal / amax if amax > 0.0 else 1.0
-    if not scale > 0:
-        raise ValueError(f"scale must be positive, got {scale}")
 
+def _amax_scale(a: np.ndarray, fmt: Fp8Format, axis=None) -> np.ndarray:
+    """Scale mapping each tensor's absolute maximum onto the max normal (1 if all zero)."""
+    amax = np.max(np.abs(a), axis=axis, keepdims=axis is not None, initial=0.0)
+    return np.divide(fmt.max_normal, amax, out=np.ones_like(amax), where=amax > 0.0)
+
+
+def _fp8_encode(a: np.ndarray, scale, fmt: Fp8Format) -> np.ndarray:
+    """Codes of ``a * scale`` by round-to-nearest-even; ``scale`` broadcasts against ``a``."""
     grid = _magnitudes(fmt)
     mag = np.abs(a) * scale
     over = mag > fmt.max_normal
@@ -139,7 +146,34 @@ def quantize_fp8(
     pick_hi = (d_hi < d_lo) | ((d_hi == d_lo) & (hi % 2 == 0))
     code = np.where(pick_hi, hi, lo).astype(np.uint8)
     code |= np.where(np.signbit(a), np.uint8(0x80), np.uint8(0))
-    return QuantizedFp8(codes=code, scale=float(scale))
+    return code
+
+
+def _fp8_decode(codes: np.ndarray, scale, fmt: Fp8Format) -> np.ndarray:
+    grid = _magnitudes(fmt)
+    unsigned = (codes & 0x7F).astype(np.int64)
+    nan_slot = unsigned == grid.size
+    mag = np.where(nan_slot, np.nan, grid[np.minimum(unsigned, grid.size - 1)])
+    sign = np.where(codes & 0x80, -1.0, 1.0)
+    return sign * mag / scale
+
+
+def quantize_fp8(
+    v, fmt: Fp8Format = E4M3, scale: float | None = None
+) -> QuantizedFp8:
+    """Round-to-nearest-even onto the fp8 grid with per-tensor scaling.
+
+    The default scale maps the tensor's absolute maximum onto the format's
+    max normal; an all-zero tensor gets scale 1. Out-of-range magnitudes
+    saturate to the max normal (or raise when the format is non-saturating).
+    """
+    a = np.asarray(v, dtype=np.float64)
+    _require_finite(a, "quantize_fp8 requires finite inputs; non-finite value")
+    if scale is None:
+        scale = float(_amax_scale(a, fmt))
+    if not scale > 0:
+        raise ValueError(f"scale must be positive, got {scale}")
+    return QuantizedFp8(codes=_fp8_encode(a, scale, fmt), scale=float(scale))
 
 
 def dequantize_fp8(codes, scale: float, fmt: Fp8Format = E4M3) -> np.ndarray:
@@ -147,18 +181,12 @@ def dequantize_fp8(codes, scale: float, fmt: Fp8Format = E4M3) -> np.ndarray:
     c = np.asarray(codes, dtype=np.uint8)
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale}")
-    grid = _magnitudes(fmt)
-    unsigned = (c & 0x7F).astype(np.int64)
-    nan_slot = unsigned == grid.size
-    mag = np.where(nan_slot, np.nan, grid[np.minimum(unsigned, grid.size - 1)])
-    sign = np.where(c & 0x80, -1.0, 1.0)
-    return sign * mag / scale
+    return _fp8_decode(c, scale, fmt)
 
 
-def _round_significand(v, stored_bits: int) -> np.ndarray:
+def _round_significand(v, stored_bits: int, what: str) -> np.ndarray:
     a = np.ascontiguousarray(v, dtype=np.float64)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("rounding emulation requires finite inputs")
+    _require_finite(a, f"{what} requires finite inputs; non-finite value")
     bits = a.copy().view(np.uint64)
     shift = np.uint64(52 - stored_bits)
     one = np.uint64(1)
@@ -168,7 +196,7 @@ def _round_significand(v, stored_bits: int) -> np.ndarray:
     up = (tail > half) | ((tail == half) & (lsb == one))
     with np.errstate(over="ignore"):
         bits = (bits - tail) + up.astype(np.uint64) * (one << shift)
-    return bits.view(np.float64).reshape(a.shape)
+    return _require_finite(bits.view(np.float64).reshape(a.shape), f"{what} overflows")
 
 
 def bf16_round(v) -> np.ndarray:
@@ -176,22 +204,29 @@ def bf16_round(v) -> np.ndarray:
 
     Emulates bf16 mantissa precision at any exponent; the format's exponent
     clamping is irrelevant at desk scale and is not applied. Idempotent,
-    and exact on powers of two.
+    and exact on powers of two. A value that rounds past the largest
+    finite float64 raises ``ValueError`` naming its index.
     """
-    return _round_significand(v, stored_bits=7)
+    return _round_significand(v, stored_bits=7, what="bf16_round")
 
 
 def fp32_round(v) -> np.ndarray:
-    """Round to the nearest IEEE single, re-expressed in float64."""
+    """Round to the nearest IEEE single, re-expressed in float64.
+
+    A value beyond the single range raises ``ValueError`` naming its index.
+    """
     a = np.asarray(v, dtype=np.float64)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("rounding emulation requires finite inputs")
-    return a.astype(np.float32).astype(np.float64)
+    _require_finite(a, "fp32_round requires finite inputs; non-finite value")
+    with np.errstate(over="ignore"):
+        rounded = a.astype(np.float32).astype(np.float64)
+    return _require_finite(rounded, "fp32_round overflows")
 
 
 def _fp8_roundtrip(w) -> np.ndarray:
-    q = quantize_fp8(w)
-    return dequantize_fp8(q.codes, q.scale).reshape(np.shape(w))
+    a = np.asarray(w, dtype=np.float64)
+    _require_finite(a, "quantize_fp8 requires finite inputs; non-finite value")
+    scale = _amax_scale(a, E4M3, axis=(-2, -1) if a.ndim >= 3 else None)
+    return _fp8_decode(_fp8_encode(a, scale, E4M3), scale, E4M3)
 
 
 _ROUNDERS = {
@@ -203,6 +238,13 @@ _ROUNDERS = {
 
 
 def apply_format(w, fmt_name: str) -> np.ndarray:
+    """Round ``w`` onto the named format's grid, re-expressed in float64.
+
+    Only fp8 scales, and per tensor: an array of up to two dimensions is one
+    tensor, while an array of three or more is a stack whose every trailing
+    matrix is its own tensor with its own amax scale, so rounding a stack
+    equals rounding each matrix alone, bit for bit.
+    """
     if fmt_name not in _ROUNDERS:
         raise ValueError(f"unknown format {fmt_name!r}; choose from {sorted(_ROUNDERS)}")
     return _ROUNDERS[fmt_name](w)
@@ -240,18 +282,19 @@ def mixed_forward(
 ) -> np.ndarray:
     """Expert-mixture forward with per-class weight rounding; returns logits.
 
-    Expert weight matrices pass through the expert format (per-tensor, one
-    tensor per weight matrix), the router through the non-expert format,
-    and the head through the head format. All arithmetic stays in float64.
+    The selected experts' input and output weights pass through the expert
+    format as two stacks (one tensor per weight matrix), the router through
+    the non-expert format, and the head through the head format. Unselected
+    experts are not rounded. The mixture sums in selection order, and all
+    arithmetic stays in float64.
     """
     w_r = apply_format(w_router, policy.non_expert)
     decision = route_token(x, w_r, spec, mode="plain_topk")
+    w_in = apply_format(bank.w_in[decision.selected], policy.expert_weights)
+    w_out = apply_format(bank.w_out[decision.selected], policy.expert_weights)
     y = np.zeros(bank.model_dim)
-    for gate, idx in zip(decision.gates, decision.selected):
-        i = int(idx)
-        w_in = apply_format(bank.w_in[i], policy.expert_weights)
-        w_out = apply_format(bank.w_out[i], policy.expert_weights)
-        y += gate * (w_out @ np.maximum(w_in @ x, 0.0))
+    for gate, wi, wo in zip(decision.gates, w_in, w_out):
+        y += gate * (wo @ np.maximum(wi @ x, 0.0))
     return apply_format(head, policy.lm_head) @ y
 
 
@@ -266,13 +309,17 @@ def divergence_trial(
     """Paired engine comparison on one seeded toy layer.
 
     The rollout engine is the full-precision reference forward; the train
-    engine applies the policy. The token stream fed to the drift estimator
-    is a systematic (deterministic proportional-quota) sample of the
+    engine applies the policy. The drift estimator reads a systematic
+    (deterministic proportional-quota) sample of ``samples`` tokens from the
     rollout distribution: token v appears floor(cdf_v * samples) -
-    floor(cdf_{v-1} * samples) times. That keeps ``kl_k1`` an engine_kl
-    estimate of KL(reference || policy) while removing Monte-Carlo noise,
-    so the same seed reproduces the trial bit-for-bit.
+    floor(cdf_{v-1} * samples) times. Only the per-token log-prob gap
+    matters, so the stream is built as each vocabulary entry's gap repeated
+    that many times. That keeps ``kl_k1`` the engine_kl k1 estimate of
+    KL(reference || policy) while removing Monte-Carlo noise, so the same
+    seed reproduces the trial bit-for-bit.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     if spec is None:
         spec = MoeLayerSpec(
             num_experts=8, active_k=2, num_groups=1, model_dim=16, hidden_dim=32
@@ -290,8 +337,7 @@ def divergence_trial(
     lp_pol = log_softmax(pol_logits)
     cdf = np.cumsum(np.exp(lp_ref))
     counts = np.diff(np.floor(cdf * samples).astype(np.int64), prepend=0)
-    tokens = np.repeat(np.arange(vocab), np.maximum(counts, 0))
-    drift = engine_kl(lp_pol[tokens], lp_ref[tokens])
+    drift = EngineKl.from_gaps(np.repeat(lp_pol - lp_ref, counts))
     return {
         "kl_k1": drift.k1_estimate,
         "max_abs_logit_diff": float(np.max(np.abs(pol_logits - ref_logits))),

@@ -91,6 +91,10 @@ class RolloutBatch:
 
     def __post_init__(self):
         self.rewards = as_vector(self.rewards, "rewards")
+        bad = np.flatnonzero(~np.isfinite(self.rewards))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"reward of response {i} is not finite ({self.rewards[i]})")
         g = self.rewards.size
         if g < 2:
             raise ValueError("a rollout group needs at least 2 responses")
@@ -258,6 +262,14 @@ class EngineKl:
     k1_estimate: float
     per_token: np.ndarray
 
+    @classmethod
+    def from_gaps(cls, gap) -> EngineKl:
+        """The diagnostic from per-token gaps ``logp_train - logp_rollout``
+        over tokens sampled by the rollout engine."""
+        gap = as_vector(gap, "gap")
+        k1 = 0.0 if gap.size == 0 else float(-gap.mean())
+        return cls(k1_estimate=k1, per_token=gap)
+
 
 def engine_kl(logp_train, logp_rollout) -> EngineKl:
     """Sampled KL(rollout || train) and per-token log-prob gaps.
@@ -270,9 +282,7 @@ def engine_kl(logp_train, logp_rollout) -> EngineKl:
     lr = as_vector(logp_rollout, "logp_rollout")
     if lt.shape != lr.shape:
         raise ValueError("token streams must align")
-    gap = lt - lr
-    k1 = 0.0 if gap.size == 0 else float(-gap.mean())
-    return EngineKl(k1_estimate=k1, per_token=gap)
+    return EngineKl.from_gaps(lt - lr)
 
 
 def dump_batch(batch: RolloutBatch, fp: IO[str]) -> None:

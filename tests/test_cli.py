@@ -92,6 +92,16 @@ class TestGradchecks:
         got = float(text.strip().split("\n")[1].split(",")[0])
         assert got == rl_loss(batch, MaskConfig()).loss
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_rl_batch_nonfinite_reward_is_module_error(self, tmp_path, capsys, bad):
+        path = tmp_path / "batch.txt"
+        path.write_text(f"1.0 1 -0.5 -0.5 -0.5 -0.5\n{bad} 1 -0.5 -0.5 -0.5 -0.5\n")
+        code = run(["gradcheck-rl", "--batch", str(path), "--out", str(tmp_path / "l.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("moelab gradcheck-rl: ")
+        assert "response 1" in err
+
 
 class TestExpand:
     def test_checkpoint_round_trip(self, tmp_path):
@@ -201,6 +211,15 @@ class TestPrecisionSweep:
         lines = a.strip().split("\n")
         assert lines[0] == "policy,seed,kl_k1,max_abs_logit_diff"
         assert len(lines) == 1 + 6
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_nonpositive_samples_is_module_error(self, tmp_path, capsys, samples):
+        code = run(["precision-sweep", "--policies", "mixed_fp8", "--trials", "1",
+                    "--samples", samples, "--seed", "1", "--out", str(tmp_path / "p.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("moelab precision-sweep: ")
+        assert "samples must be at least 1" in err
 
     def test_unknown_policy_is_module_error(self):
         code = run(["precision-sweep", "--policies", "fp13"])

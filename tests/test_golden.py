@@ -17,6 +17,8 @@ import pytest
 
 from moelab.cli import run
 
+ALL_POLICIES = "ref64,mixed_fp8,mixed_fp8_bf16head,all_bf16,fp32head,bf16head"
+
 # name -> (argv with {file} placeholders, the files besides the CSV it writes)
 CASES = {
     "balance-grouped": (
@@ -58,6 +60,16 @@ CASES = {
          "--trials", "3", "--samples", "65536", "--seed", "11"],
         [],
     ),
+    "precision-samples-7": (
+        ["precision-sweep", "--policies", ALL_POLICIES, "--trials", "3", "--samples", "7",
+         "--seed", "11"],
+        [],
+    ),
+    "precision-samples-1000": (
+        ["precision-sweep", "--policies", ALL_POLICIES, "--trials", "3", "--samples", "1000",
+         "--seed", "11"],
+        [],
+    ),
     "expand": (
         ["expand", "--input", "{layer}", "--output", "{expanded}", "--factor", "2",
          "--groups", "4", "--calib-tokens", "256", "--seed", "2"],
@@ -96,6 +108,12 @@ DIGESTS = {
     },
     "precision-default": {
         "csv": "aa85983db8e8494f38e11f01dd79a87a62c5e7eb173e5554138d853ec50e9fc8",
+    },
+    "precision-samples-7": {
+        "csv": "da619c93d7105835f97d1c3a5cfa4900f12fb8dd76f94eec09c5e7c2d34184fb",
+    },
+    "precision-samples-1000": {
+        "csv": "ab39c90508fc8f2086f133422d9ef96c5ac34db36b1dcfbbcfea9a94845c61e7",
     },
     "precision-rest": {
         "csv": "35e7aa217a0530ae43c9559e014ff341848ed622eb8d7f7da64b4b4e1ab2733e",

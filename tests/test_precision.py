@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from moelab.core import Rng
+from moelab.core import Rng, log_softmax
 from moelab.precision import (
     E4M3,
     POLICIES,
@@ -18,7 +18,7 @@ from moelab.precision import (
     mixed_forward,
     quantize_fp8,
 )
-from moelab.routing import MoeLayerSpec, moe_forward, route_token
+from moelab.routing import ExpertBank, MoeLayerSpec, moe_forward, route_token
 
 
 def e4m3_value(code: int) -> float:
@@ -37,8 +37,6 @@ def e4m3_value(code: int) -> float:
 def toy_layer(seed, vocab=12):
     rng = Rng(seed)
     spec = MoeLayerSpec(num_experts=6, active_k=2, num_groups=1, model_dim=8, hidden_dim=16)
-    from moelab.routing import ExpertBank
-
     bank = ExpertBank.random(rng, spec)
     w = rng.normal_matrix(6, 8)
     head = rng.normal_matrix(vocab, 8)
@@ -165,8 +163,35 @@ class TestBf16Round:
         want = v.astype(ml_dtypes.bfloat16).astype(np.float64)
         assert np.array_equal(bf16_round(v), want)
 
+    def test_overflow_names_first_index(self):
+        dbl_max = np.finfo(np.float64).max
+        with pytest.raises(ValueError, match=r"bf16_round overflows at index 0\b"):
+            bf16_round(np.array([dbl_max]))
+        m = np.ones((2, 3))
+        m[1, 2] = -dbl_max
+        m[1, 1] = dbl_max
+        with pytest.raises(ValueError, match=r"overflows at index \(1, 1\)"):
+            bf16_round(m)
+
+    def test_largest_finite_bf16_survives(self):
+        top = (2.0 - 2.0**-7) * 2.0**1023  # largest float64 with an 8-bit significand
+        assert bf16_round(np.array([top]))[0] == top
+
+    def test_nonfinite_input_names_index(self):
+        with pytest.raises(ValueError, match=r"requires finite inputs.*at index 2\b"):
+            bf16_round(np.array([1.0, 2.0, np.nan]))
+
 
 class TestFp32Round:
+    def test_overflow_names_first_index(self):
+        with pytest.raises(ValueError, match=r"fp32_round overflows at index 1\b"):
+            fp32_round(np.array([1.0, 1e300, -1e300]))
+
+    def test_single_max_neighbourhood_stays_finite(self):
+        f32_max = float(np.finfo(np.float32).max)
+        # within half an ulp of the single max: rounds down to it, no overflow
+        assert fp32_round(np.array([f32_max * (1.0 + 2.0**-25)]))[0] == f32_max
+
     def test_identity_on_singles(self):
         v = np.array([0.5, 1.25, -3.75, 1024.0])
         assert np.array_equal(fp32_round(v), v)
@@ -222,7 +247,63 @@ class TestMixedForward:
         assert np.max(np.abs(mixed - ref)) > 0.0
 
 
+def round_matrix(m, fmt_name):
+    """Per-matrix rounding through each format's own public rounder."""
+    if fmt_name == "fp8_e4m3":
+        q = quantize_fp8(m)
+        return dequantize_fp8(q.codes, q.scale).reshape(m.shape)
+    return {"fp64": np.asarray, "fp32": fp32_round, "bf16": bf16_round}[fmt_name](m)
+
+
+def materialized_trial(policy, seed, samples, vocab=24):
+    """The divergence trial written out longhand: every selected expert matrix
+    rounded on its own inside the mixture loop, and the k1 mean taken over an
+    explicit token stream gathered from both log-prob vectors."""
+    spec = MoeLayerSpec(num_experts=8, active_k=2, num_groups=1, model_dim=16, hidden_dim=32)
+    rng = Rng(seed)
+    bank = ExpertBank.random(rng, spec)
+    w_router = rng.normal_matrix(spec.num_experts, spec.model_dim)
+    head = rng.normal_matrix(vocab, spec.model_dim) * (4.0 / np.sqrt(spec.model_dim))
+    x = rng.normal(spec.model_dim)
+
+    def forward(pol):
+        decision = route_token(x, round_matrix(w_router, pol.non_expert), spec, mode="plain_topk")
+        y = np.zeros(spec.model_dim)
+        for gate, i in zip(decision.gates, decision.selected):
+            w_in = round_matrix(bank.w_in[i], pol.expert_weights)
+            w_out = round_matrix(bank.w_out[i], pol.expert_weights)
+            y += gate * (w_out @ np.maximum(w_in @ x, 0.0))
+        return round_matrix(head, pol.lm_head) @ y
+
+    ref_logits, pol_logits = forward(POLICIES["ref64"]), forward(policy)
+    lp_ref, lp_pol = log_softmax(ref_logits), log_softmax(pol_logits)
+    cdf = np.cumsum(np.exp(lp_ref))
+    counts = np.diff(np.floor(cdf * samples).astype(np.int64), prepend=0)
+    tokens = np.repeat(np.arange(vocab), counts)
+    # the cdf can end a hair below 1, so a tiny sample may hold no token: k1 is 0
+    gaps = lp_pol[tokens] - lp_ref[tokens]
+    return {
+        "kl_k1": float(-gaps.mean()) if gaps.size else 0.0,
+        "max_abs_logit_diff": float(np.max(np.abs(pol_logits - ref_logits))),
+    }
+
+
 class TestDivergenceTrials:
+    @pytest.mark.parametrize("samples", [1, 7, 1000, 65536])
+    def test_matches_materialized_token_stream_bitwise(self, samples):
+        for seed in (0, 3, 19, 2**31 + 5):
+            for name, policy in sorted(POLICIES.items()):
+                got = divergence_trial(policy, seed, samples=samples)
+                want = materialized_trial(policy, seed, samples)
+                assert {k: v.hex() for k, v in got.items()} == {
+                    k: v.hex() for k, v in want.items()
+                }, (name, seed)
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_nonpositive_samples_rejected(self, samples):
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            divergence_trial(POLICIES["mixed_fp8"], 0, samples=samples)
+
     def test_trial_is_deterministic(self):
         a = divergence_trial(POLICIES["mixed_fp8"], 42)
         b = divergence_trial(POLICIES["mixed_fp8"], 42)
@@ -243,7 +324,37 @@ class TestDivergenceTrials:
         assert ref["kl_k1"] == 0.0
 
 
+def awkward_stack():
+    """Expert-like (k, h, d) stack: ordinary, all-zero, saturating-amax and tiny matrices."""
+    rng = Rng(21)
+    amax = 1.026  # (448 / amax) * amax rounds to just above 448
+    assert (448.0 / amax) * amax > 448.0
+    saturating = rng.normal_matrix(6, 5)
+    saturating /= np.max(np.abs(saturating))
+    saturating[2, 3] = -amax  # the only entry beyond magnitude 1
+    tiny = rng.normal_matrix(6, 5) * 1e-6
+    tiny[0, 0] = 3.0  # the rest of the matrix underflows towards subnormals
+    return np.stack([rng.normal_matrix(6, 5) * 30.0, np.zeros((6, 5)), saturating, tiny])
+
+
 class TestApplyFormat:
+    @pytest.mark.parametrize("fmt_name", ["fp64", "fp32", "bf16", "fp8_e4m3"])
+    def test_stack_equals_per_matrix_rounding(self, fmt_name):
+        stack = awkward_stack()
+        got = apply_format(stack, fmt_name)
+        want = np.stack([round_matrix(m, fmt_name) for m in stack])
+        assert got.shape == stack.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_fp8_stack_scales_each_matrix(self):
+        stack = awkward_stack()
+        got = apply_format(stack, "fp8_e4m3")
+        assert np.array_equal(got[1], np.zeros((6, 5)))  # all-zero: scale 1, exact
+        assert got[2, 2, 3] == -1.026  # the amax maps onto 448 and back exactly
+        # a single tensor over the whole stack would round the tiny matrix differently
+        whole = round_matrix(stack.reshape(-1, 5), "fp8_e4m3").reshape(stack.shape)
+        assert not np.array_equal(got[3], whole[3])
+
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError, match="unknown format"):
             apply_format(np.ones(3), "fp16")

@@ -6,6 +6,7 @@ import pytest
 
 from moelab.core import Rng, finite_diff_grad
 from moelab.rlloss import (
+    EngineKl,
     MaskConfig,
     RolloutBatch,
     ToyPolicy,
@@ -189,6 +190,17 @@ class TestRlLoss:
         with pytest.raises(ValueError, match=r"response 0, token 1"):
             rl_loss(batch, CFG)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_reward_names_response(self, bad):
+        with pytest.raises(ValueError, match=r"reward of response 1 is not finite"):
+            RolloutBatch(
+                logp_train=[np.array([-1.0])] * 3,
+                logp_rollout=[np.array([-1.0])] * 3,
+                logp_new=[np.array([-1.0])] * 3,
+                logp_old=[np.array([-1.0])] * 3,
+                rewards=np.array([1.0, bad, bad]),
+            )
+
     def test_group_of_one_rejected(self):
         with pytest.raises(ValueError):
             RolloutBatch(
@@ -361,6 +373,14 @@ class TestEngineKl:
         se = per_sample.std(ddof=1) / math.sqrt(n)
         assert abs(res.k1_estimate - true_kl) <= 3 * se
 
+    def test_from_gaps_takes_the_negated_mean(self):
+        res = EngineKl.from_gaps([-0.5, -0.25, 0.0, 0.25])
+        assert res.k1_estimate == 0.125
+        assert np.array_equal(res.per_token, [-0.5, -0.25, 0.0, 0.25])
+        assert EngineKl.from_gaps([]).k1_estimate == 0.0
+        with pytest.raises(ValueError):
+            EngineKl.from_gaps(np.zeros((2, 2)))
+
     def test_misaligned_streams_rejected(self):
         with pytest.raises(ValueError):
             engine_kl(np.zeros(3), np.zeros(4))
@@ -379,6 +399,12 @@ class TestSerialization:
         for a, b in zip(batch.logp_old, again.logp_old):
             assert np.array_equal(a, b)
         assert rl_loss(batch, CFG).loss == rl_loss(again, CFG).loss
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_nonfinite_reward_rejected(self, bad):
+        text = f"1.0 1 -0.5 -0.5 -0.5 -0.5\n{bad} 1 -0.5 -0.5 -0.5 -0.5\n"
+        with pytest.raises(ValueError, match=r"reward of response 1 is not finite"):
+            load_batch(io.StringIO(text))
 
     def test_field_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="line 1"):
