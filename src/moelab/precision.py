@@ -32,9 +32,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from moelab.core import Rng, log_softmax
+from moelab.core import Rng, as_vector, log_softmax
 from moelab.rlloss import EngineKl
-from moelab.routing import ExpertBank, MoeLayerSpec, route_token
+from moelab.routing import ExpertBank, MoeLayerSpec, _expert_mix, route_token
 
 __all__ = [
     "Fp8Format",
@@ -288,13 +288,12 @@ def mixed_forward(
     experts are not rounded. The mixture sums in selection order, and all
     arithmetic stays in float64.
     """
+    xv = as_vector(x, "x")
     w_r = apply_format(w_router, policy.non_expert)
-    decision = route_token(x, w_r, spec, mode="plain_topk")
+    decision = route_token(xv, w_r, spec, mode="plain_topk")
     w_in = apply_format(bank.w_in[decision.selected], policy.expert_weights)
     w_out = apply_format(bank.w_out[decision.selected], policy.expert_weights)
-    y = np.zeros(bank.model_dim)
-    for gate, wi, wo in zip(decision.gates, w_in, w_out):
-        y += gate * (wo @ np.maximum(wi @ x, 0.0))
+    y = _expert_mix(xv, decision.gates, w_in, w_out)
     return apply_format(head, policy.lm_head) @ y
 
 

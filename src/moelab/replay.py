@@ -80,9 +80,9 @@ class RoutingTrace:
             raise TraceError("trace indices must be (tokens, layers, k)")
         if min(self.indices.shape) < 1:
             raise TraceError("trace must cover at least one token, layer, and expert")
-        if self.indices.shape[2] > 1 and not np.all(
+        if self.indices.shape[2] > 1 and not (
             np.diff(self.indices.astype(np.int64), axis=2) > 0
-        ):
+        ).all():
             raise TraceError("trace entries must hold distinct ascending indices")
 
     @property
@@ -145,7 +145,7 @@ def replay_select(
     """
     p = as_vector(current_probs, "current_probs")
     s = trace.entry(token, layer)
-    if np.any(s >= p.size):
+    if s.max() >= p.size:
         raise TraceError(
             f"trace entry for token {token}, layer {layer} references expert "
             f"{int(s.max())} but only {p.size} experts exist"

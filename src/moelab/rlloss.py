@@ -22,6 +22,13 @@ estimates KL(rollout || train). Per-token gaps are reported as
 logp_train - logp_rollout (positive where the training engine assigns the
 higher likelihood).
 
+A batch rejects a non-finite reward, and a positive or NaN log-prob in any
+snapshot, naming the snapshot, response and token. ``-inf`` is rejected in
+``logp_new`` only, where its token would enter the loss as ``0 * -inf``.
+Elsewhere it is handled: in ``logp_train`` the ratio rho is 0 and the token
+is masked; in ``logp_rollout`` or ``logp_old`` a ratio is infinite, which
+:func:`rl_loss` rejects.
+
 Batches serialize as line-delimited text records for CLI round-trips; see
 :func:`dump_batch` for the field order.
 """
@@ -68,13 +75,20 @@ class MaskConfig:
 
 
 def _logp_list(arrays, name: str) -> list[np.ndarray]:
+    """Validated log-prob vectors: nonempty, with no positive value and no NaN."""
     out = []
     for i, a in enumerate(arrays):
         v = as_vector(a, f"{name}[{i}]")
         if v.size < 1:
             raise ValueError(f"{name}[{i}] must contain at least one token")
-        if np.any(v > 0.0):
-            raise ValueError(f"{name}[{i}] contains a positive log-probability")
+        if not (v <= 0.0).all():  # one pass: fails on a positive value or a NaN
+            positive = np.flatnonzero(v > 0.0)
+            if positive.size:
+                raise ValueError(
+                    f"{name}[{i}] contains a positive log-probability at token {positive[0]}"
+                )
+            t = np.flatnonzero(np.isnan(v))[0]
+            raise ValueError(f"{name}[{i}] has a NaN log-probability at token {t}")
         out.append(v)
     return out
 
@@ -91,9 +105,8 @@ class RolloutBatch:
 
     def __post_init__(self):
         self.rewards = as_vector(self.rewards, "rewards")
-        bad = np.flatnonzero(~np.isfinite(self.rewards))
-        if bad.size:
-            i = int(bad[0])
+        if not np.isfinite(self.rewards).all():
+            i = np.flatnonzero(~np.isfinite(self.rewards))[0]
             raise ValueError(f"reward of response {i} is not finite ({self.rewards[i]})")
         g = self.rewards.size
         if g < 2:
@@ -108,6 +121,11 @@ class RolloutBatch:
             if len(arrays) != g:
                 raise ValueError(f"{name} must hold one array per response")
             setattr(self, name, _logp_list(arrays, name))
+        # -inf in logp_new would enter the loss as 0 * -inf (see module doc).
+        for i, v in enumerate(self.logp_new):
+            if not (v > -np.inf).all():
+                t = np.flatnonzero(v == -np.inf)[0]
+                raise ValueError(f"logp_new[{i}] has a -inf log-probability at token {t}")
         for i in range(g):
             lens = {len(s[i]) for s in snapshots.values()}
             if len(lens) != 1:
@@ -173,11 +191,9 @@ def rl_loss(batch: RolloutBatch, cfg: MaskConfig = MaskConfig()) -> RlLossResult
             rho = np.exp(batch.logp_train[i] - batch.logp_rollout[i])
             ratio = np.exp(batch.logp_new[i] - batch.logp_old[i])
         for name, arr in (("train/rollout", rho), ("new/old", ratio)):
-            bad = np.flatnonzero(~np.isfinite(arr))
-            if bad.size:
-                raise ValueError(
-                    f"non-finite {name} importance ratio at response {i}, token {bad[0]}"
-                )
+            if not np.isfinite(arr).all():
+                t = np.flatnonzero(~np.isfinite(arr))[0]
+                raise ValueError(f"non-finite {name} importance ratio at response {i}, token {t}")
         c = _masked(rho, cfg) * ratio * adv[i]
         coefs.append(c)
         total += float((c * batch.logp_new[i]).sum()) / batch.response_length(i)
@@ -242,7 +258,7 @@ def rl_loss_grad(
     if len(own) != batch.group_size:
         raise ValueError("policy and batch disagree on group size")
     for i, lp in enumerate(own):
-        if lp.size != batch.response_length(i) or np.max(np.abs(lp - batch.logp_new[i])) > 1e-12:
+        if lp.size != batch.response_length(i) or np.abs(lp - batch.logp_new[i]).max() > 1e-12:
             raise ValueError("batch new-snapshot log-probs do not come from this policy")
     result = rl_loss(batch, cfg)
     g = batch.group_size
@@ -292,7 +308,7 @@ def dump_batch(batch: RolloutBatch, fp: IO[str]) -> None:
     for i in range(batch.group_size):
         fields = [repr(float(batch.rewards[i])), str(batch.response_length(i))]
         for block in (batch.logp_train, batch.logp_rollout, batch.logp_new, batch.logp_old):
-            fields.extend(repr(float(v)) for v in block[i])
+            fields.extend(map(repr, block[i].tolist()))
         fp.write(" ".join(fields) + "\n")
 
 
@@ -310,7 +326,7 @@ def load_batch(fp: IO[str]) -> RolloutBatch:
                 f"rollout record line {lineno}: expected {2 + 4 * length} fields, got {len(parts)}"
             )
         rewards.append(reward)
-        vals = np.array([float(v) for v in parts[2:]])
+        vals = np.fromiter(map(float, parts[2:]), np.float64, 4 * length)
         for b, chunk in zip(blocks, vals.reshape(4, length)):
             b.append(chunk)
     return RolloutBatch(

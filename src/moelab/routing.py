@@ -30,6 +30,14 @@ top-k kernel behind :func:`topk_select_batch` and
 product rounds differently from T matrix-vector products, so batch code
 must not become a loop of per-token calls, nor per-token callers one
 batch call.
+
+Per-token calls are validated cheaply. :class:`RoutingDecision` checks
+strict ascent of the selection first, which implies distinct indices, and
+takes the index range from its two endpoints. ``np.unique`` and full
+min/max scans run only after the ascent check has failed, to pick the
+message (repeated indices before range before order).
+:func:`moe_forward` and ``precision.mixed_forward`` share one
+expert-mixture loop, which sums the experts in selection order.
 """
 
 from __future__ import annotations
@@ -148,6 +156,13 @@ class RoutingDecision:
 
     ``logits`` is None for decisions reconstructed from a recorded trace,
     where only current probabilities are available.
+
+    Construction rejects, in this order: a selection that is not a
+    nonempty 1-D array, repeated indices, indices outside ``[0, N)``, an
+    unsorted selection, gates not aligned with it, probs or gates not
+    summing to 1 within 1e-12, and logits of the wrong length. Strict
+    ascent is tested first: it implies distinct indices and puts the range
+    at the endpoints, so a valid selection costs one comparison pass.
     """
 
     probs: np.ndarray
@@ -157,17 +172,18 @@ class RoutingDecision:
 
     def __post_init__(self):
         self.probs = as_vector(self.probs, "probs")
-        self.selected = np.asarray(self.selected, dtype=np.int64)
+        self.selected = s = np.asarray(self.selected, dtype=np.int64)
         self.gates = as_vector(self.gates, "gates")
         n = self.probs.size
-        s = self.selected
         if s.ndim != 1 or s.size < 1:
             raise ValueError("selected must be a nonempty 1-D index array")
-        if s.size != np.unique(s).size:
+        ascending = (s[1:] > s[:-1]).all()
+        if not ascending and s.size != np.unique(s).size:
             raise ValueError("selected indices must be distinct")
-        if np.any(s < 0) or np.any(s >= n):
+        lo, hi = (s[0], s[-1]) if ascending else (s.min(), s.max())
+        if lo < 0 or hi >= n:
             raise ValueError(f"selected indices out of range [0, {n})")
-        if np.any(np.diff(s) <= 0):
+        if not ascending:
             raise ValueError("selected indices must be sorted ascending")
         if self.gates.shape != s.shape:
             raise ValueError("gates must align positionally with selected")
@@ -190,7 +206,7 @@ def _router_logits(tokens, w_router, temperature: float) -> np.ndarray:
     if w.shape[1] != t.shape[1]:
         raise ValueError(f"router shape {w.shape} incompatible with token dim {t.shape[1]}")
     z = (t @ w.T) / temperature
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         tok, exp = np.argwhere(~np.isfinite(z))[0]
         raise ValueError(f"non-finite router logit for expert {exp} (token {tok})")
     return z
@@ -304,12 +320,13 @@ def gate_weights(p, selected) -> np.ndarray:
     s = np.asarray(selected, dtype=np.int64)
     if s.size < 1:
         raise ValueError("selected set must be nonempty")
-    if np.any(s < 0) or np.any(s >= pv.size):
+    if s.min() < 0 or s.max() >= pv.size:
         raise ValueError(f"selected indices out of range [0, {pv.size})")
-    mass = pv[s].sum()
+    ps = pv[s]
+    mass = ps.sum()
     if not mass > 0.0:
         raise ValueError("zero probability mass on the selected set")
-    return pv[s] / mass
+    return ps / mass
 
 
 def route_token(
@@ -326,6 +343,16 @@ def route_token(
     return RoutingDecision(probs=p[0], selected=s, gates=gate_weights(p[0], s), logits=z[0])
 
 
+def _expert_mix(x: np.ndarray, gates: np.ndarray, w_ins, w_outs) -> np.ndarray:
+    """``sum_j gates[j] * (w_outs[j] @ relu(w_ins[j] @ x))`` for a float64
+    vector ``x``, summed in gate order: the one expert-mixture loop, shared
+    by :func:`moe_forward` and ``precision.mixed_forward``."""
+    y = np.zeros(x.size)
+    for gate, wi, wo in zip(gates.tolist(), w_ins, w_outs):
+        y += gate * (wo @ np.maximum(wi @ x, 0.0))
+    return y
+
+
 def moe_forward(x, bank: ExpertBank, decision: RoutingDecision) -> np.ndarray:
     """Gate-weighted sum of the selected experts' outputs."""
     xv = as_vector(x, "x")
@@ -333,10 +360,9 @@ def moe_forward(x, bank: ExpertBank, decision: RoutingDecision) -> np.ndarray:
         raise ValueError(f"token dim {xv.size} != bank model dim {bank.model_dim}")
     if decision.probs.size != bank.num_experts:
         raise ValueError("decision covers a different number of experts than the bank")
-    y = np.zeros_like(xv)
-    for gate, idx in zip(decision.gates, decision.selected):
-        y += gate * bank.expert_output(int(idx), xv)
-    return y
+    sel = decision.selected.tolist()
+    w_ins = [bank.w_in[i] for i in sel]  # views: no gathered copy of the weights
+    return _expert_mix(xv, decision.gates, w_ins, [bank.w_out[i] for i in sel])
 
 
 def ste_gate_value(z, selected, temperature: float = 1.0) -> np.ndarray:
@@ -373,7 +399,7 @@ def ste_backward(upstream, z, selected, temperature: float = 1.0) -> np.ndarray:
     up = as_vector(upstream, "upstream")
     if up.shape != s.shape:
         raise ValueError("upstream must align positionally with selected")
-    if np.any(s < 0) or np.any(s >= zv.size):
+    if (s < 0).any() or (s >= zv.size).any():
         raise ValueError(f"selected indices out of range [0, {zv.size})")
     p = softmax(zv / temperature)
     u = np.zeros_like(zv)

@@ -297,6 +297,12 @@ def test_criterion_6_router_replay():
             if not np.array_equal(decision.selected, trace.entry(t, layer)):
                 problems.append(f"trial {trial}: replayed selection diverged")
                 break
+            # Gates follow the perturbed router: its own softmax, renormalized
+            # over the recorded set.
+            frozen = softmax(w_pert @ batch[t])[trace.indices[t, layer].astype(np.int64)]
+            if not np.allclose(decision.gates, frozen / frozen.sum(), rtol=1e-13, atol=0.0):
+                problems.append(f"trial {trial}: replayed gates do not follow the live router")
+                break
         if problems:
             break
     elapsed = time.perf_counter() - start

@@ -103,6 +103,19 @@ class TestGradchecks:
         assert "response 1" in err
 
 
+    def test_rl_batch_neg_inf_new_logp_is_module_error(self, tmp_path, capsys):
+        # layout: reward, length, then train, rollout, new and old blocks
+        path = tmp_path / "batch.txt"
+        path.write_text("1.0 2 -0.5 -0.5 -0.5 -0.5 -0.5 -inf -0.5 -0.5\n0.0 1 -0.5 -0.5 -0.5 -0.5\n")
+        out = tmp_path / "l.csv"
+        code = run(["gradcheck-rl", "--batch", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("moelab gradcheck-rl: ")
+        assert "logp_new[0] has a -inf log-probability at token 1" in err
+        assert not out.exists()
+
+
 class TestExpand:
     def test_checkpoint_round_trip(self, tmp_path):
         rng = Rng(17)

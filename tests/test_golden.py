@@ -77,6 +77,7 @@ CASES = {
     ),
     "gradcheck-ste": (["gradcheck-ste", "--trials", "100", "--seed", "9"], []),
     "gradcheck-rl": (["gradcheck-rl", "--trials", "40", "--seed", "9"], []),
+    "gradcheck-rl-batch": (["gradcheck-rl", "--batch", "{batch}"], []),
     "plan-patches": (["plan-patches", "--len", "5000", "--rate", "250"], []),
 }
 
@@ -99,6 +100,9 @@ DIGESTS = {
     },
     "gradcheck-rl": {
         "csv": "c98f4297ea5ad2c8f7d6bdb3282ec3061b11a9af6b12936bb2e098353eb67294",
+    },
+    "gradcheck-rl-batch": {
+        "csv": "5e73d802644544cd41f3bf06d124b23ccb992d0a7874f87955dbbdc4dca798f1",
     },
     "gradcheck-ste": {
         "csv": "4f3a83748134a317f48e9930cb48d40ce0cae9336bf942373ac77a9122bbe40a",
@@ -137,6 +141,21 @@ def _write_layer(path, n=8, d=6, hidden=12):
                      + weights.astype("<f8").tobytes())
 
 
+def _write_batch(path, lengths=(3, 5, 2, 7, 4)):
+    """A rollout file built from the documented layout, not dump_batch: per
+    response one line of reward, token count, then the train, rollout, new
+    and old log-prob blocks. One train log-prob is -inf (ratio 0, masked)."""
+    lines = []
+    for i, n in enumerate(lengths):
+        t = np.arange(4 * n, dtype=np.float64) + 10.0 * i
+        blocks = -np.abs(np.sin(t * 0.71)) * (0.2 + (t % 3)) - 1e-3
+        fields = [repr(float(i % 3) - 0.5), str(n)] + [repr(float(v)) for v in blocks]
+        if i == 1:
+            fields[2] = "-inf"
+        lines.append(" ".join(fields))
+    path.write_text("\n".join(lines) + "\n")
+
+
 def _digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -144,7 +163,8 @@ def _digest(path):
 def run_case(tmp_path, name):
     argv, outputs = CASES[name]
     _write_layer(tmp_path / "layer")
-    files = {key: tmp_path / key for key in ("layer", "trace", "expanded")}
+    _write_batch(tmp_path / "batch")
+    files = {key: tmp_path / key for key in ("layer", "trace", "expanded", "batch")}
     argv = [a.format(**files) for a in argv] + ["--out", str(tmp_path / "out.csv")]
     assert run(argv) == 0
     got = {"csv": _digest(tmp_path / "out.csv")}

@@ -240,6 +240,14 @@ class TestMixedForward:
         got = mixed_forward(x, bank, w, head, spec, POLICIES["mixed_fp8"])
         assert np.array_equal(got, np.zeros(head.shape[0]))
 
+    @pytest.mark.parametrize("name", sorted(POLICIES))
+    def test_matches_per_matrix_loop_bitwise(self, name):
+        for seed in range(20, 30):
+            spec, bank, w, head, x = toy_layer(seed)
+            got = mixed_forward(x, bank, w, head, spec, POLICIES[name])
+            want = longhand_mixed_forward(x, bank, w, head, spec, POLICIES[name])
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), seed
+
     def test_mixed_policy_differs_from_reference(self):
         spec, bank, w, head, x = toy_layer(13)
         mixed = mixed_forward(x, bank, w, head, spec, POLICIES["mixed_fp8"])
@@ -255,10 +263,22 @@ def round_matrix(m, fmt_name):
     return {"fp64": np.asarray, "fp32": fp32_round, "bf16": bf16_round}[fmt_name](m)
 
 
+def longhand_mixed_forward(x, bank, w_router, head, spec, pol):
+    """The mixed forward written out longhand: every selected expert matrix
+    rounded on its own inside the mixture loop."""
+    decision = route_token(x, round_matrix(w_router, pol.non_expert), spec, mode="plain_topk")
+    y = np.zeros(spec.model_dim)
+    for gate, i in zip(decision.gates, decision.selected):
+        w_in = round_matrix(bank.w_in[i], pol.expert_weights)
+        w_out = round_matrix(bank.w_out[i], pol.expert_weights)
+        y += gate * (w_out @ np.maximum(w_in @ x, 0.0))
+    return round_matrix(head, pol.lm_head) @ y
+
+
 def materialized_trial(policy, seed, samples, vocab=24):
-    """The divergence trial written out longhand: every selected expert matrix
-    rounded on its own inside the mixture loop, and the k1 mean taken over an
-    explicit token stream gathered from both log-prob vectors."""
+    """The divergence trial written out longhand: the longhand mixed forward,
+    and the k1 mean taken over an explicit token stream gathered from both
+    log-prob vectors."""
     spec = MoeLayerSpec(num_experts=8, active_k=2, num_groups=1, model_dim=16, hidden_dim=32)
     rng = Rng(seed)
     bank = ExpertBank.random(rng, spec)
@@ -266,16 +286,8 @@ def materialized_trial(policy, seed, samples, vocab=24):
     head = rng.normal_matrix(vocab, spec.model_dim) * (4.0 / np.sqrt(spec.model_dim))
     x = rng.normal(spec.model_dim)
 
-    def forward(pol):
-        decision = route_token(x, round_matrix(w_router, pol.non_expert), spec, mode="plain_topk")
-        y = np.zeros(spec.model_dim)
-        for gate, i in zip(decision.gates, decision.selected):
-            w_in = round_matrix(bank.w_in[i], pol.expert_weights)
-            w_out = round_matrix(bank.w_out[i], pol.expert_weights)
-            y += gate * (w_out @ np.maximum(w_in @ x, 0.0))
-        return round_matrix(head, pol.lm_head) @ y
-
-    ref_logits, pol_logits = forward(POLICIES["ref64"]), forward(policy)
+    ref_logits = longhand_mixed_forward(x, bank, w_router, head, spec, POLICIES["ref64"])
+    pol_logits = longhand_mixed_forward(x, bank, w_router, head, spec, policy)
     lp_ref, lp_pol = log_softmax(ref_logits), log_softmax(pol_logits)
     cdf = np.cumsum(np.exp(lp_ref))
     counts = np.diff(np.floor(cdf * samples).astype(np.int64), prepend=0)

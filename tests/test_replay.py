@@ -132,6 +132,12 @@ class TestReplaySelect:
         with pytest.raises(TraceError, match="no trace entry"):
             replay_select(trace, 0, 2, np.full(8, 1 / 8))
 
+    @pytest.mark.parametrize("entry", [[1, 4], [2, 7]])
+    def test_entry_beyond_current_experts_raises(self, entry):
+        trace = RoutingTrace(indices=np.array([[entry]], dtype=np.uint16))
+        with pytest.raises(TraceError, match=f"references expert {entry[-1]} but only 4"):
+            replay_select(trace, 0, 0, np.full(4, 0.25))
+
     def test_zero_mass_on_frozen_set_raises(self):
         trace = RoutingTrace(indices=np.array([[[0, 1]]], dtype=np.uint16))
         p = np.array([0.0, 0.0, 0.6, 0.4])

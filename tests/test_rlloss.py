@@ -221,6 +221,48 @@ class TestRlLoss:
                 rewards=np.array([1.0, 0.0]),
             )
 
+    @staticmethod
+    def _batch_with(name, bad):
+        # response 1, token 2 of snapshot ``name`` holds ``bad``
+        blocks = {
+            n: [np.array([-1.0, -0.5]), np.array([-1.0, -0.5, -0.25])]
+            for n in ("logp_train", "logp_rollout", "logp_new", "logp_old")
+        }
+        blocks[name][1][2] = bad
+        return RolloutBatch(rewards=np.array([1.0, 0.0]), **blocks)
+
+    @pytest.mark.parametrize("name", ["logp_train", "logp_rollout", "logp_new", "logp_old"])
+    def test_nan_logp_rejected_naming_snapshot_and_token(self, name):
+        with pytest.raises(ValueError, match=rf"{name}\[1\] has a NaN log-probability at token 2"):
+            self._batch_with(name, np.nan)
+
+    def test_nan_beside_positive_keeps_positive_message(self):
+        msg = r"logp_old\[1\] contains a positive log-probability at token 1"
+        with pytest.raises(ValueError, match=msg):
+            RolloutBatch(
+                logp_train=[np.array([-1.0]), np.array([-1.0, -1.0])],
+                logp_rollout=[np.array([-1.0]), np.array([-1.0, -1.0])],
+                logp_new=[np.array([-1.0]), np.array([-1.0, -1.0])],
+                logp_old=[np.array([-1.0]), np.array([np.nan, 0.5])],
+                rewards=np.array([1.0, 0.0]),
+            )
+
+    def test_neg_inf_new_logp_rejected(self):
+        with pytest.raises(ValueError, match=r"logp_new\[1\] has a -inf log-probability at token 2"):
+            self._batch_with("logp_new", -np.inf)
+
+    def test_neg_inf_train_logp_is_masked(self):
+        batch = self._batch_with("logp_train", -np.inf)
+        result = rl_loss(batch, CFG)
+        assert math.isfinite(result.loss)
+        assert result.per_token_coef[1][2] == 0.0
+        assert result.loss == oracle_loss(batch, CFG)
+
+    @pytest.mark.parametrize("name", ["logp_rollout", "logp_old"])
+    def test_neg_inf_rollout_or_old_logp_gives_infinite_ratio(self, name):
+        with pytest.raises(ValueError, match=r"non-finite .* importance ratio at response 1, token 2"):
+            rl_loss(self._batch_with(name, -np.inf), CFG)
+
 
 def make_policy_instance(rng, group=2, max_len=4, vocab=5):
     lens = [1 + int(rng.uniform(1)[0] * max_len) for _ in range(group)]
@@ -399,6 +441,40 @@ class TestSerialization:
         for a, b in zip(batch.logp_old, again.logp_old):
             assert np.array_equal(a, b)
         assert rl_loss(batch, CFG).loss == rl_loss(again, CFG).loss
+
+    def test_dump_text_matches_repr_longhand(self):
+        batch = random_batch(Rng(23), group=3)
+        batch.logp_train[0][0] = -np.inf
+        batch.logp_rollout[1][0] = -0.0
+        batch.logp_new[2][0] = -5e-324
+        batch.logp_old[0][0] = -1.7976931348623157e308
+        buf = io.StringIO()
+        dump_batch(batch, buf)
+        want = []
+        for i in range(batch.group_size):
+            fields = [repr(float(batch.rewards[i])), str(batch.response_length(i))]
+            for block in (batch.logp_train, batch.logp_rollout, batch.logp_new, batch.logp_old):
+                fields.extend(repr(float(v)) for v in block[i])
+            want.append(" ".join(fields) + "\n")
+        assert buf.getvalue() == "".join(want)
+
+    def test_load_values_match_float_longhand(self):
+        spellings = ["-0.5", "-1e-3", "-.25", "-0", "-1e300", "-5e-324", "-1.0000000000000002",
+                     "-1_0", "-2.5E+2", "-0.1", "-7", "-3.141592653589793"]
+        text = "0.25 3 " + " ".join(spellings) + "\n-1E0 3 " + " ".join(reversed(spellings)) + "\n"
+        batch = load_batch(io.StringIO(text))
+        for i, line in enumerate(text.splitlines()):
+            parts = line.split()
+            want = np.array([float(v) for v in parts[2:]]).reshape(4, 3)
+            got = np.array([batch.logp_train[i], batch.logp_rollout[i],
+                            batch.logp_new[i], batch.logp_old[i]])
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert batch.rewards[i] == float(parts[0])
+
+    def test_neg_inf_new_logp_rejected_on_load(self):
+        text = "1.0 2 -0.5 -0.5 -0.5 -0.5 -inf -0.5 -0.5 -0.5\n0.0 1 -0.5 -0.5 -0.5 -0.5\n"
+        with pytest.raises(ValueError, match=r"logp_new\[0\] has a -inf log-probability at token 0"):
+            load_batch(io.StringIO(text))
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_nonfinite_reward_rejected(self, bad):

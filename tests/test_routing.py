@@ -187,6 +187,11 @@ class TestGateWeights:
         with pytest.raises(ValueError):
             gate_weights([0.5, 0.5], [])
 
+    @pytest.mark.parametrize("selected", [[-1], [0, 2], [2, 0]])
+    def test_out_of_range_rejected(self, selected):
+        with pytest.raises(ValueError, match=r"out of range \[0, 2\)"):
+            gate_weights([0.5, 0.5], selected)
+
 
 class TestMoeForward:
     def test_identity_experts_return_token(self):
@@ -217,6 +222,23 @@ class TestMoeForward:
         )
         want = (g * a + (1 - g) * b) * x
         assert np.allclose(moe_forward(x, bank, decision), want, atol=1e-14)
+
+    @pytest.mark.parametrize("n, k", [(4, 1), (4, 4), (256, 1), (256, 8)])
+    def test_matches_per_expert_sum_bitwise(self, n, k):
+        # Longhand mixture: one expert_output call per selected expert, summed
+        # in selection order (k is capped at N).
+        rng = Rng(1000 + n + k)
+        spec = MoeLayerSpec(num_experts=n, active_k=k, num_groups=1, model_dim=8, hidden_dim=16)
+        bank = ExpertBank.random(rng, spec)
+        w = rng.normal_matrix(n, 8)
+        for _ in range(20):
+            x = rng.normal(8)
+            decision = route_token(x, w, spec)
+            want = np.zeros(8)
+            for gate, i in zip(decision.gates, decision.selected):
+                want += gate * bank.expert_output(int(i), x)
+            got = moe_forward(x, bank, decision)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_shape_mismatch(self):
         bank = linear_bank(2, 3, np.ones(2))
@@ -421,8 +443,32 @@ class TestNonFiniteProbabilities:
 
 
 class TestRoutingDecisionInvariants:
+    # Every rejection, each with its message: the checks run strict ascent
+    # first and take the range from the endpoints, so each case pins which
+    # message an input gets.
+    P3 = np.array([0.5, 0.3, 0.2])
+
+    @pytest.mark.parametrize(
+        "selected, gates, match",
+        [
+            ([[0, 1]], [0.5, 0.5], "nonempty 1-D"),
+            (np.array([], dtype=np.int64), [], "nonempty 1-D"),
+            ([1, 1], [0.5, 0.5], "distinct"),
+            ([2, 0, 2], [0.25, 0.5, 0.25], "distinct"),
+            ([-1, 0], [0.5, 0.5], r"out of range \[0, 3\)"),
+            ([0, 3], [0.5, 0.5], r"out of range \[0, 3\)"),
+            ([5, 0], [0.5, 0.5], r"out of range \[0, 3\)"),
+            ([0, 1], [1.0], "align positionally"),
+        ],
+        ids=["2d", "empty", "duplicate", "unsorted_duplicate", "negative", "index_eq_n",
+             "unsorted_out_of_range", "misaligned_gates"],
+    )
+    def test_rejects_bad_selection(self, selected, gates, match):
+        with pytest.raises(ValueError, match=match):
+            RoutingDecision(probs=self.P3, selected=np.asarray(selected), gates=np.asarray(gates))
+
     def test_rejects_unsorted_selection(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sorted ascending"):
             RoutingDecision(
                 probs=np.array([0.5, 0.3, 0.2]),
                 selected=np.array([2, 0]),
@@ -430,12 +476,32 @@ class TestRoutingDecisionInvariants:
             )
 
     def test_rejects_bad_gate_sum(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="gates must sum to 1"):
             RoutingDecision(
                 probs=np.array([0.5, 0.5]),
                 selected=np.array([0]),
                 gates=np.array([0.9]),
             )
+
+    def test_rejects_bad_probs_sum(self):
+        with pytest.raises(ValueError, match="probs must sum to 1"):
+            RoutingDecision(
+                probs=np.array([0.5, 0.4, 0.2]), selected=np.array([0]), gates=np.array([1.0])
+            )
+
+    def test_rejects_logits_length(self):
+        with pytest.raises(ValueError, match="logits length must match probs"):
+            RoutingDecision(
+                probs=self.P3, selected=np.array([0]), gates=np.array([1.0]),
+                logits=np.zeros(4),
+            )
+
+    def test_accepts_valid_decision(self):
+        d = RoutingDecision(
+            probs=self.P3, selected=np.array([0, 2]), gates=np.array([0.25, 0.75]),
+            logits=np.zeros(3),
+        )
+        assert d.selected.dtype == np.int64 and d.logits.shape == (3,)
 
     def test_bank_random_shapes(self):
         spec = MoeLayerSpec(num_experts=5, active_k=2, num_groups=1, model_dim=3, hidden_dim=7)
