@@ -27,7 +27,9 @@ from moelab.routing import (
     topk_select_batch,
 )
 
-__all__ = ["LoadReport", "dispatch", "balance_metrics", "balance_loss", "balance_trial"]
+__all__ = [
+    "LoadReport", "dispatch", "balance_metrics", "balance_loss", "balance_trial", "balance_trials",
+]
 
 
 @dataclass
@@ -48,6 +50,31 @@ class LoadReport:
             raise ValueError("assignment counts must sum to tokens * k")
 
 
+def _dispatch(
+    b: np.ndarray, w_router, spec: MoeLayerSpec, num_devices: int, mode: RoutingMode
+) -> tuple[np.ndarray, np.ndarray, LoadReport]:
+    """:func:`dispatch`, also returning the probabilities and selection."""
+    n = spec.num_experts
+    if num_devices < 1 or n % num_devices != 0:
+        raise ValueError(f"devices must evenly partition {n} experts, got {num_devices}")
+    if mode == "grouped" and num_devices != spec.num_groups:
+        raise ValueError(
+            f"grouped dispatch needs one group per device "
+            f"(groups={spec.num_groups}, devices={num_devices})"
+        )
+    probs = router_probs_batch(b, w_router)
+    sel = select(probs, spec, mode)
+    per_device = n // num_devices
+    counts = np.bincount((sel // per_device).ravel(), minlength=num_devices)
+    return probs, sel, LoadReport(
+        num_devices=num_devices,
+        counts=counts,
+        mode=mode,
+        num_tokens=b.shape[0],
+        active_k=spec.active_k,
+    )
+
+
 def dispatch(
     batch,
     w_router,
@@ -61,25 +88,7 @@ def dispatch(
     Tallies use a fixed reduction (bincount over the flattened selection),
     so reports are bit-reproducible regardless of token order of work.
     """
-    b = as_matrix(batch, "batch")
-    n = spec.num_experts
-    if num_devices < 1 or n % num_devices != 0:
-        raise ValueError(f"devices must evenly partition {n} experts, got {num_devices}")
-    if mode == "grouped" and num_devices != spec.num_groups:
-        raise ValueError(
-            f"grouped dispatch needs one group per device "
-            f"(groups={spec.num_groups}, devices={num_devices})"
-        )
-    sel = select(router_probs_batch(b, w_router), spec, mode)
-    per_device = n // num_devices
-    counts = np.bincount((sel // per_device).ravel(), minlength=num_devices)
-    return LoadReport(
-        num_devices=num_devices,
-        counts=counts,
-        mode=mode,
-        num_tokens=b.shape[0],
-        active_k=spec.active_k,
-    )
+    return _dispatch(as_matrix(batch, "batch"), w_router, spec, num_devices, mode)[2]
 
 
 def balance_metrics(report: LoadReport) -> dict[str, float]:
@@ -94,6 +103,13 @@ def balance_metrics(report: LoadReport) -> dict[str, float]:
     }
 
 
+def _aux_loss(probs: np.ndarray, plain_sel: np.ndarray) -> float:
+    """N * sum_i f_i * P_i from the probabilities and their plain top-k."""
+    t, n = probs.shape
+    f = np.bincount(plain_sel.ravel(), minlength=n) / (t * plain_sel.shape[1])
+    return float(n * (f @ probs.mean(axis=0)))
+
+
 def balance_loss(batch, w_router, spec: MoeLayerSpec) -> float:
     """Auxiliary load-balance loss N * sum_i f_i * P_i under plain top-k.
 
@@ -105,11 +121,7 @@ def balance_loss(batch, w_router, spec: MoeLayerSpec) -> float:
     if b.shape[0] < 1:
         raise ValueError("balance loss needs at least one token")
     probs = router_probs_batch(b, w_router)
-    sel = topk_select_batch(probs, spec.active_k)
-    n = spec.num_experts
-    f = np.bincount(sel.ravel(), minlength=n) / (b.shape[0] * spec.active_k)
-    p_mean = probs.mean(axis=0)
-    return float(n * (f @ p_mean))
+    return _aux_loss(probs, topk_select_batch(probs, spec.active_k))
 
 
 def balance_trial(
@@ -122,18 +134,30 @@ def balance_trial(
     """One seeded simulation row: fresh router and batch, dispatch, metrics.
 
     Draw order is router first, then tokens, so a trial is reproducible
-    from (seed, spec, num_tokens) alone.
+    from (seed, spec, num_tokens) alone. The batch is routed once: the
+    balance loss reuses the dispatch's probabilities, and in ``plain_topk``
+    mode its selection too.
     """
     rng = Rng(seed)
     w = rng.normal_matrix(spec.num_experts, spec.model_dim)
     batch = rng.normal_matrix(num_tokens, spec.model_dim)
-    report = dispatch(batch, w, spec, num_devices, mode)
+    probs, sel, report = _dispatch(batch, w, spec, num_devices, mode)
     metrics = balance_metrics(report)
+    plain = sel if mode == "plain_topk" else topk_select_batch(probs, spec.active_k)
     return {
         "mode": mode,
         "T": num_tokens,
         "seed": seed,
         "max_over_mean": metrics["max_over_mean"],
         "cv": metrics["coefficient_of_variation"],
-        "balance_loss": balance_loss(batch, w, spec),
+        "balance_loss": _aux_loss(probs, plain),
     }
+
+
+def balance_trials(
+    mode: RoutingMode, seed: int, spec: MoeLayerSpec, num_devices: int, num_tokens: int, trials: int
+) -> list[dict[str, object]]:
+    """:func:`balance_trial` rows at seeds ``seed .. seed + trials - 1``."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    return [balance_trial(mode, seed + i, spec, num_devices, num_tokens) for i in range(trials)]

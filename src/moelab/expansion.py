@@ -209,8 +209,8 @@ def expand_layer(
     w = as_matrix(w_router, "w_router")
     if plan.num_source != bank.num_experts or w.shape[0] != bank.num_experts:
         raise ValueError("plan/bank/router expert counts disagree")
-    if noise < 0:
-        raise ValueError("noise scale must be >= 0")
+    if not 0 <= noise < np.inf:  # a NaN or infinite scale would write non-finite rows
+        raise ValueError(f"noise scale must be finite and >= 0, got {noise}")
     if noise > 0 and rng is None:
         raise ValueError("rng is required when noise > 0")
 

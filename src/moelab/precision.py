@@ -20,15 +20,17 @@ in one call exactly as its matrices would one by one.
 A :class:`PrecisionPolicy` assigns one format to each layer class of a toy
 expert-mixture language model: expert FFN weights, non-expert weights (the
 router), and the output head. :func:`mixed_forward` runs the model with
-the policy's rounding applied to each class; :func:`divergence_trial`
-compares a policy's token log-probabilities against the full-precision
-reference engine with the sampled-k1 drift estimator.
+the policy's rounding applied to each class; :func:`divergence_trials`
+compares policies' token log-probabilities against the full-precision
+reference engine with the sampled-k1 drift estimator, on one seeded layer
+that all of them share (:func:`divergence_trial` is its one-policy view),
+and :func:`precision_sweep` returns the precision-sweep rows.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -37,8 +39,6 @@ from moelab.rlloss import EngineKl
 from moelab.routing import ExpertBank, MoeLayerSpec, _expert_mix, route_token
 
 __all__ = [
-    "Fp8Format",
-    "E4M3",
     "QuantizedFp8",
     "PrecisionPolicy",
     "POLICIES",
@@ -50,56 +50,28 @@ __all__ = [
     "apply_format",
     "mixed_forward",
     "divergence_trial",
+    "divergence_trials",
+    "precision_sweep",
 ]
 
 
-@dataclass(frozen=True)
-class Fp8Format:
-    """8-bit float layout: sign, exponent_bits, mantissa_bits, finite-only."""
-
-    exponent_bits: int = 4
-    mantissa_bits: int = 3
-    bias: int = 7
-    max_normal: float = 448.0
-    saturating: bool = True
-
-    def __post_init__(self):
-        if self.exponent_bits + self.mantissa_bits != 7:
-            raise ValueError("sign + exponent + mantissa must pack into 8 bits")
-        top = 2**self.exponent_bits - 1
-        largest = (2.0 - 2.0 ** -(self.mantissa_bits - 1)) * 2.0 ** (top - self.bias)
-        if largest != self.max_normal:
-            raise ValueError(
-                f"max_normal {self.max_normal} inconsistent with layout (expected {largest})"
-            )
+# E4M3, the one fp8 format: sign, 4 exponent bits, 3 mantissa bits, bias 7,
+# no infinities; magnitudes beyond the largest normal saturate to it.
+_MAN_BITS, _BIAS = 3, 7
+# Non-negative magnitudes, ascending, indexed by unsigned code. The all-ones
+# code 0x7F is the NaN slot and is left out, so the grid has 2**7 - 1 entries.
+_EXP, _MANT = np.divmod(np.arange(2**7 - 1), 2**_MAN_BITS)
+_GRID = np.where(
+    _EXP == 0,
+    _MANT * 2.0 ** (1 - _BIAS - _MAN_BITS),  # subnormals
+    (1.0 + _MANT * 2.0**-_MAN_BITS) * 2.0 ** (_EXP - _BIAS),
+)
+_MAX_NORMAL = float(_GRID[-1])  # 448
 
 
-E4M3 = Fp8Format()
-
-
-@lru_cache(maxsize=None)
-def _magnitudes(fmt: Fp8Format) -> np.ndarray:
-    """Non-negative representable magnitudes, ascending; index == unsigned code.
-
-    The all-ones code (exponent and mantissa saturated) is the NaN slot and
-    is excluded, so the grid has 2**7 - 1 entries.
-    """
-    m_b, bias = fmt.mantissa_bits, fmt.bias
-    vals = []
-    for e in range(2**fmt.exponent_bits):
-        for m in range(2**m_b):
-            if e == 2**fmt.exponent_bits - 1 and m == 2**m_b - 1:
-                continue
-            if e == 0:
-                vals.append(m * 2.0 ** (1 - bias - m_b))
-            else:
-                vals.append((1.0 + m * 2.0**-m_b) * 2.0 ** (e - bias))
-    return np.array(vals)
-
-
-def fp8_grid(fmt: Fp8Format = E4M3) -> np.ndarray:
-    """Copy of the format's non-negative magnitude grid (index == code)."""
-    return _magnitudes(fmt).copy()
+def fp8_grid() -> np.ndarray:
+    """Copy of the E4M3 non-negative magnitude grid (index == code)."""
+    return _GRID.copy()
 
 
 @dataclass
@@ -123,65 +95,56 @@ def _require_finite(a: np.ndarray, problem: str) -> np.ndarray:
     return a
 
 
-def _amax_scale(a: np.ndarray, fmt: Fp8Format, axis=None) -> np.ndarray:
+def _amax_scale(a: np.ndarray, axis=None) -> np.ndarray:
     """Scale mapping each tensor's absolute maximum onto the max normal (1 if all zero)."""
     amax = np.max(np.abs(a), axis=axis, keepdims=axis is not None, initial=0.0)
-    return np.divide(fmt.max_normal, amax, out=np.ones_like(amax), where=amax > 0.0)
+    return np.divide(_MAX_NORMAL, amax, out=np.ones_like(amax), where=amax > 0.0)
 
 
-def _fp8_encode(a: np.ndarray, scale, fmt: Fp8Format) -> np.ndarray:
-    """Codes of ``a * scale`` by round-to-nearest-even; ``scale`` broadcasts against ``a``."""
-    grid = _magnitudes(fmt)
-    mag = np.abs(a) * scale
-    over = mag > fmt.max_normal
-    if np.any(over):
-        if not fmt.saturating:
-            raise ValueError("magnitude exceeds max normal in non-saturating mode")
-        mag = np.minimum(mag, fmt.max_normal)
-
-    hi = np.searchsorted(grid, mag).clip(max=grid.size - 1)
+def _fp8_encode(a: np.ndarray, scale) -> np.ndarray:
+    """Codes of ``a * scale`` by round-to-nearest-even, saturating at the max
+    normal; ``scale`` broadcasts against ``a``."""
+    mag = np.minimum(np.abs(a) * scale, _MAX_NORMAL)
+    hi = np.searchsorted(_GRID, mag).clip(max=_GRID.size - 1)
     lo = np.maximum(hi - 1, 0)
-    d_lo = mag - grid[lo]
-    d_hi = grid[hi] - mag
+    d_lo = mag - _GRID[lo]
+    d_hi = _GRID[hi] - mag
     pick_hi = (d_hi < d_lo) | ((d_hi == d_lo) & (hi % 2 == 0))
     code = np.where(pick_hi, hi, lo).astype(np.uint8)
     code |= np.where(np.signbit(a), np.uint8(0x80), np.uint8(0))
     return code
 
 
-def _fp8_decode(codes: np.ndarray, scale, fmt: Fp8Format) -> np.ndarray:
-    grid = _magnitudes(fmt)
+def _fp8_decode(codes: np.ndarray, scale) -> np.ndarray:
     unsigned = (codes & 0x7F).astype(np.int64)
-    nan_slot = unsigned == grid.size
-    mag = np.where(nan_slot, np.nan, grid[np.minimum(unsigned, grid.size - 1)])
+    nan_slot = unsigned == _GRID.size
+    mag = np.where(nan_slot, np.nan, _GRID[np.minimum(unsigned, _GRID.size - 1)])
     sign = np.where(codes & 0x80, -1.0, 1.0)
     return sign * mag / scale
 
 
-def quantize_fp8(
-    v, fmt: Fp8Format = E4M3, scale: float | None = None
-) -> QuantizedFp8:
-    """Round-to-nearest-even onto the fp8 grid with per-tensor scaling.
+def quantize_fp8(v, scale: float | None = None) -> QuantizedFp8:
+    """Round-to-nearest-even onto the E4M3 grid with per-tensor scaling.
 
-    The default scale maps the tensor's absolute maximum onto the format's
-    max normal; an all-zero tensor gets scale 1. Out-of-range magnitudes
-    saturate to the max normal (or raise when the format is non-saturating).
+    The default scale maps the tensor's absolute maximum onto the max
+    normal (448); an all-zero tensor gets scale 1. Out-of-range magnitudes
+    saturate to the max normal.
     """
     a = np.asarray(v, dtype=np.float64)
     _require_finite(a, "quantize_fp8 requires finite inputs; non-finite value")
     if scale is None:
-        scale = float(_amax_scale(a, fmt))
+        scale = float(_amax_scale(a))
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale}")
-    return QuantizedFp8(codes=_fp8_encode(a, scale, fmt), scale=float(scale))
+    return QuantizedFp8(codes=_fp8_encode(a, scale), scale=float(scale))
 
 
-def dequantize_fp8(codes, scale: float, fmt: Fp8Format = E4M3) -> np.ndarray:
+def dequantize_fp8(codes, scale: float) -> np.ndarray:
     """Map codes back to float64: grid magnitude over scale, NaN for the NaN slot."""
     c = np.asarray(codes, dtype=np.uint8)
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale}")
-    return _fp8_decode(c, scale, fmt)
+    return _fp8_decode(c, scale)
 
 
 def _round_significand(v, stored_bits: int, what: str) -> np.ndarray:
@@ -225,8 +188,8 @@ def fp32_round(v) -> np.ndarray:
 def _fp8_roundtrip(w) -> np.ndarray:
     a = np.asarray(w, dtype=np.float64)
     _require_finite(a, "quantize_fp8 requires finite inputs; non-finite value")
-    scale = _amax_scale(a, E4M3, axis=(-2, -1) if a.ndim >= 3 else None)
-    return _fp8_decode(_fp8_encode(a, scale, E4M3), scale, E4M3)
+    scale = _amax_scale(a, axis=(-2, -1) if a.ndim >= 3 else None)
+    return _fp8_decode(_fp8_encode(a, scale), scale)
 
 
 _ROUNDERS = {
@@ -297,15 +260,14 @@ def mixed_forward(
     return apply_format(head, policy.lm_head) @ y
 
 
-def divergence_trial(
-    policy: PrecisionPolicy,
-    seed: int,
-    *,
-    spec: MoeLayerSpec | None = None,
-    vocab: int = 24,
-    samples: int = 65536,
-) -> dict[str, float]:
-    """Paired engine comparison on one seeded toy layer.
+_TOY_SPEC = MoeLayerSpec(num_experts=8, active_k=2, num_groups=1, model_dim=16, hidden_dim=32)
+_TOY_VOCAB = 24
+
+
+def divergence_trials(
+    policies: Sequence[PrecisionPolicy], seed: int, *, samples: int = 65536
+) -> list[dict[str, float]]:
+    """Paired engine comparisons of each policy on one seeded toy layer.
 
     The rollout engine is the full-precision reference forward; the train
     engine applies the policy. The drift estimator reads a systematic
@@ -316,28 +278,57 @@ def divergence_trial(
     that many times. That keeps ``kl_k1`` the engine_kl k1 estimate of
     KL(reference || policy) while removing Monte-Carlo noise, so the same
     seed reproduces the trial bit-for-bit.
+
+    The layer, reference forward and sample counts depend only on the seed
+    and are shared by all the policies.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    if spec is None:
-        spec = MoeLayerSpec(
-            num_experts=8, active_k=2, num_groups=1, model_dim=16, hidden_dim=32
-        )
+    spec = _TOY_SPEC
     rng = Rng(seed)
     bank = ExpertBank.random(rng, spec)
     w_router = rng.normal_matrix(spec.num_experts, spec.model_dim)
-    head = rng.normal_matrix(vocab, spec.model_dim) * (4.0 / np.sqrt(spec.model_dim))
+    head = rng.normal_matrix(_TOY_VOCAB, spec.model_dim) * (4.0 / np.sqrt(spec.model_dim))
     x = rng.normal(spec.model_dim)
 
     ref_logits = mixed_forward(x, bank, w_router, head, spec, POLICIES["ref64"])
-    pol_logits = mixed_forward(x, bank, w_router, head, spec, policy)
-
     lp_ref = log_softmax(ref_logits)
-    lp_pol = log_softmax(pol_logits)
     cdf = np.cumsum(np.exp(lp_ref))
     counts = np.diff(np.floor(cdf * samples).astype(np.int64), prepend=0)
-    drift = EngineKl.from_gaps(np.repeat(lp_pol - lp_ref, counts))
-    return {
-        "kl_k1": drift.k1_estimate,
-        "max_abs_logit_diff": float(np.max(np.abs(pol_logits - ref_logits))),
-    }
+    trials = []
+    for policy in policies:
+        pol_logits = mixed_forward(x, bank, w_router, head, spec, policy)
+        drift = EngineKl.from_gaps(np.repeat(log_softmax(pol_logits) - lp_ref, counts))
+        trials.append({
+            "kl_k1": drift.k1_estimate,
+            "max_abs_logit_diff": float(np.max(np.abs(pol_logits - ref_logits))),
+        })
+    return trials
+
+
+def divergence_trial(
+    policy: PrecisionPolicy, seed: int, *, samples: int = 65536
+) -> dict[str, float]:
+    """One-policy view of :func:`divergence_trials`."""
+    return divergence_trials([policy], seed, samples=samples)[0]
+
+
+def precision_sweep(
+    names: Sequence[str], trials: int, seed: int, samples: int
+) -> list[dict[str, object]]:
+    """The precision-sweep CSV rows, policy-major over seeds
+    ``seed .. seed + trials - 1``; each seed's trials share one layer."""
+    if not names:
+        raise ValueError("need at least one policy")
+    unknown = [n for n in names if n not in POLICIES]
+    if unknown:
+        raise ValueError(f"unknown policies {unknown}; choose from {sorted(POLICIES)}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    policies = [POLICIES[n] for n in names]
+    per_seed = [divergence_trials(policies, seed + i, samples=samples) for i in range(trials)]
+    return [
+        {"policy": name, "seed": seed + i, **per_seed[i][j]}
+        for j, name in enumerate(names)
+        for i in range(trials)
+    ]

@@ -16,18 +16,20 @@ payload caps expert counts at 65536.
 
 from __future__ import annotations
 
+import io
 import struct
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from moelab.core import as_matrix, as_vector
+from moelab.core import Rng, as_matrix, as_vector
 from moelab.routing import (
     MoeLayerSpec,
     RoutingDecision,
     RoutingMode,
     gate_weights,
+    router_probs,
     router_probs_batch,
     select,
 )
@@ -44,6 +46,7 @@ __all__ = [
     "deserialize_trace",
     "save_trace",
     "load_trace",
+    "replay_verify",
 ]
 
 _MAGIC = b"RTRC"
@@ -164,25 +167,31 @@ def serialize_trace(trace: RoutingTrace) -> bytes:
     return header + np.ascontiguousarray(trace.indices, dtype="<u2").tobytes()
 
 
-def deserialize_trace(data: bytes) -> RoutingTrace:
-    if len(data) < _HEADER.size:
+def _trace_dims(header: bytes, payload_bytes: int) -> tuple[int, int, int]:
+    """(tokens, layers, k) of a trace header followed by ``payload_bytes``
+    bytes; a short header, wrong magic or version, or wrong size raises."""
+    if len(header) < _HEADER.size:
         raise TraceTruncatedError(
-            f"trace header needs {_HEADER.size} bytes, got {len(data)}"
+            f"trace header needs {_HEADER.size} bytes, got {len(header)}"
         )
-    magic, version, tokens, layers, k = _HEADER.unpack(data[: _HEADER.size])
+    magic, version, tokens, layers, k = _HEADER.unpack(header[: _HEADER.size])
     if magic != _MAGIC:
         raise TraceMagicError(f"bad trace magic {magic!r}")
     if version != _VERSION:
         raise TraceVersionError(f"unsupported trace version {version}")
     expected = tokens * layers * k * 2
-    payload = data[_HEADER.size :]
-    if len(payload) < expected:
+    if payload_bytes < expected:
         raise TraceTruncatedError(
-            f"trace payload needs {expected} bytes, got {len(payload)}"
+            f"trace payload needs {expected} bytes, got {payload_bytes}"
         )
-    if len(payload) > expected:
-        raise TraceError(f"{len(payload) - expected} trailing bytes after trace payload")
-    indices = np.frombuffer(payload, dtype="<u2").reshape(tokens, layers, k)
+    if payload_bytes > expected:
+        raise TraceError(f"{payload_bytes - expected} trailing bytes after trace payload")
+    return tokens, layers, k
+
+
+def deserialize_trace(data: bytes) -> RoutingTrace:
+    dims = _trace_dims(data, len(data) - _HEADER.size)
+    indices = np.frombuffer(data, dtype="<u2", offset=_HEADER.size).reshape(dims)
     return RoutingTrace(indices=indices.copy())
 
 
@@ -192,5 +201,52 @@ def save_trace(path, trace: RoutingTrace) -> None:
 
 
 def load_trace(path) -> RoutingTrace:
+    """Read a trace file, checking the header against the file size before
+    the payload is read: a file cannot make the reader allocate more than it holds."""
     with open(path, "rb") as fp:
-        return deserialize_trace(fp.read())
+        header = fp.read(_HEADER.size)
+        _trace_dims(header, fp.seek(0, io.SEEK_END) - len(header))
+        fp.seek(len(header))
+        return deserialize_trace(header + fp.read())
+
+
+def replay_verify(
+    spec: MoeLayerSpec,
+    mode: RoutingMode,
+    num_tokens: int,
+    num_layers: int,
+    perturb: float,
+    seed: int,
+    *,
+    record_path=None,
+    replay_path=None,
+) -> dict[str, int]:
+    """Record a seeded batch's trace (saved to ``record_path`` if given),
+    move each router by up to ``perturb`` times its Frobenius norm, and
+    count forced replays of the trace (or of the one at ``replay_path``)
+    whose selection differs from the recorded one, as one CSV row."""
+    if not 0.0 <= perturb < np.inf:
+        raise ValueError(f"perturb must be finite and >= 0, got {perturb}")
+    rng = Rng(seed)
+    layers = [(rng.normal_matrix(spec.num_experts, spec.model_dim), spec) for _ in range(num_layers)]
+    batch = rng.normal_matrix(num_tokens, spec.model_dim)
+    recorded = record_trace(batch, layers, mode)
+    if record_path:
+        save_trace(record_path, recorded)
+    trace = load_trace(replay_path) if replay_path else recorded
+
+    mismatches = 0
+    # router_probs rejects the non-finite logits of a perturbation near the
+    # float64 limit; numpy's overflow warnings would only repeat that error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for l, (w, _) in enumerate(layers):
+            direction = rng.normal_matrix(*w.shape)
+            direction /= np.linalg.norm(direction)
+            scale = perturb * float(np.linalg.norm(w)) * float(rng.uniform(1)[0])
+            w_pert = w + direction * scale
+            for t in range(num_tokens):
+                decision = replay_select(trace, t, l, router_probs(batch[t], w_pert))
+                if not np.array_equal(decision.selected, recorded.entry(t, l)):
+                    mismatches += 1
+    return {"tokens": num_tokens, "layers": num_layers, "k": spec.active_k,
+            "checked": num_tokens * num_layers, "mismatches": mismatches}

@@ -40,7 +40,7 @@ from typing import IO
 
 import numpy as np
 
-from moelab.core import as_vector, log_softmax, softmax
+from moelab.core import Rng, as_vector, finite_diff_grad, log_softmax, softmax
 
 __all__ = [
     "MaskConfig",
@@ -56,6 +56,8 @@ __all__ = [
     "engine_kl",
     "dump_batch",
     "load_batch",
+    "evaluate_batch",
+    "gradcheck_rl",
 ]
 
 
@@ -162,10 +164,11 @@ def mask_ratio(rho: float, cfg: MaskConfig) -> float:
     """
     if rho < 0.0:
         raise ValueError(f"importance ratio must be >= 0, got {rho}")
-    return float(rho) if cfg.alpha < rho < cfg.beta else 0.0
+    return float(_masked(np.float64(rho), cfg))
 
 
 def _masked(rho: np.ndarray, cfg: MaskConfig) -> np.ndarray:
+    """The mask rule, elementwise: the one place the bounds are applied."""
     return np.where((cfg.alpha < rho) & (rho < cfg.beta), rho, 0.0)
 
 
@@ -336,3 +339,56 @@ def load_batch(fp: IO[str]) -> RolloutBatch:
         logp_old=blocks[3],
         rewards=np.array(rewards),
     )
+
+
+def evaluate_batch(batch: RolloutBatch, cfg: MaskConfig) -> dict[str, object]:
+    """The loss of one rollout group as a CSV row: loss, group size, tokens."""
+    return {"loss": rl_loss(batch, cfg).loss, "group_size": batch.group_size,
+            "tokens": sum(v.size for v in batch.logp_new)}
+
+
+def gradcheck_rl(
+    group: int, vocab: int, maxlen: int, trials: int, cfg: MaskConfig, seed: int
+) -> dict[str, object]:
+    """:func:`rl_loss_grad` against central differences over ``trials``
+    seeded toy policies of ``group`` responses of 1 to ``maxlen`` tokens, as
+    one CSV row. The loss closure freezes the coefficients (the
+    stop-gradient rule) and keeps its own log-softmax as the oracle."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if maxlen < 1:
+        raise ValueError(f"maxlen must be at least 1, got {maxlen}")
+    if vocab < 2:  # one entry has a zero gradient by construction
+        raise ValueError(f"vocab must be at least 2, got {vocab}")
+    rng = Rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        lens = [1 + int(rng.uniform(1)[0] * maxlen) for _ in range(group)]
+        policy = ToyPolicy(
+            logits=[rng.normal(l * vocab).reshape(l, vocab) for l in lens],
+            tokens=[(rng.uniform(l) * vocab).astype(np.int64) for l in lens],
+        )
+        rollout = [-np.abs(rng.normal(l)) * 0.5 - 1e-3 for l in lens]
+        train = [np.minimum(r + rng.normal(r.size) * 0.4, 0.0) for r in rollout]
+        old = [-np.abs(rng.normal(l)) * 0.5 - 1e-3 for l in lens]
+        batch = batch_from_policy(policy, train, rollout, old, rng.normal(group))
+        analytic = np.concatenate([g.ravel() for g in rl_loss_grad(policy, batch, cfg)])
+
+        coefs = [c.copy() for c in rl_loss(batch, cfg).per_token_coef]
+        shapes = [l.shape for l in policy.logits]
+        flat0 = np.concatenate([l.ravel() for l in policy.logits])
+
+        def frozen(vec, coefs=coefs, shapes=shapes, policy=policy):
+            total, off = 0.0, 0
+            for i, (rows, v) in enumerate(shapes):
+                logits = vec[off: off + rows * v].reshape(rows, v)
+                off += rows * v
+                m = logits.max(axis=1, keepdims=True)
+                lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))
+                lp = logits[np.arange(rows), policy.tokens[i]] - lse
+                total += float((coefs[i] * lp).sum()) / rows
+            return -total / group
+
+        fd = finite_diff_grad(frozen, flat0, h=1e-6)
+        worst = max(worst, np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-30))
+    return {"trials": trials, "group": group, "max_rel_err": float(worst)}

@@ -47,7 +47,7 @@ from typing import Literal
 
 import numpy as np
 
-from moelab.core import as_matrix, as_vector, softmax
+from moelab.core import Rng, as_matrix, as_vector, finite_diff_grad, softmax
 
 __all__ = [
     "RoutingMode",
@@ -66,6 +66,7 @@ __all__ = [
     "topk_select_batch",
     "grouped_select_batch",
     "select",
+    "gradcheck_ste",
 ]
 
 RoutingMode = Literal["plain_topk", "grouped"]
@@ -80,10 +81,11 @@ class MoeLayerSpec:
     num_groups: int
     model_dim: int
     hidden_dim: int
-    temperature: float = 1.0
 
     def __post_init__(self):
         n, k, g = self.num_experts, self.active_k, self.num_groups
+        if n < 1:
+            raise ValueError(f"num_experts must be positive, got {n}")
         if not 1 <= k <= n:
             raise ValueError(f"active_k must satisfy 1 <= k <= {n}, got {k}")
         if g < 1 or n % g != 0:
@@ -92,8 +94,6 @@ class MoeLayerSpec:
             raise ValueError(f"num_groups must divide active_k ({k}), got {g}")
         if self.model_dim < 1 or self.hidden_dim < 1:
             raise ValueError("model_dim and hidden_dim must be positive")
-        if not self.temperature > 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
 
     @property
     def group_size(self) -> int:
@@ -334,8 +334,8 @@ def route_token(
 ) -> RoutingDecision:
     """Full live routing of one token: logits, probs, selection, gates.
 
-    Selection probabilities always use temperature 1; the layer temperature
-    only enters the straight-through backward rule.
+    Selection probabilities use temperature 1; a temperature enters only
+    the straight-through backward rule.
     """
     z = _router_logits(as_vector(x, "x")[None], w_router, 1.0)
     p = softmax(z)
@@ -406,3 +406,36 @@ def ste_backward(upstream, z, selected, temperature: float = 1.0) -> np.ndarray:
     u[s] = up
     return p * (u - u @ p) / temperature
 
+
+def gradcheck_ste(n: int, k: int, trials: int, taus, seed: int) -> dict[str, object]:
+    """:func:`ste_backward` against central differences over ``trials``
+    seeded draws (trial i at temperature ``taus[i % len(taus)]``), as one
+    CSV row. The loss closure keeps its own softmax as the oracle."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if not (n >= 2 and 1 <= k <= n):  # one expert has a zero gradient by construction
+        raise ValueError(f"need n >= 2 and 1 <= k <= n, got k={k}, n={n}")
+    if not taus or not all(0.0 < t < np.inf for t in taus):
+        raise ValueError(f"temperatures must be finite, positive and at least one, got {taus}")
+    rng = Rng(seed)
+    worst = 0.0
+    unselected_hits = 0
+    for trial in range(trials):
+        tau = taus[trial % len(taus)]
+        z = rng.normal(n)
+        sel = topk_select(softmax(z), k)
+        up = rng.normal(k)
+
+        def loss(zv, tau=tau, sel=sel, up=up):
+            q = np.exp(zv / tau - (zv / tau).max())
+            q /= q.sum()
+            return float((up * q[sel]).sum())
+
+        fd = finite_diff_grad(loss, z, h=1e-6)
+        an = ste_backward(up, z, sel, tau)
+        worst = max(worst, np.linalg.norm(an - fd) / max(np.linalg.norm(fd), 1e-30))
+        others = np.setdiff1d(np.arange(n), sel)
+        if others.size and np.any(np.abs(an[others]) > 0):
+            unselected_hits += 1
+    return {"trials": trials, "n": n, "k": k, "max_rel_err": float(worst),
+            "unselected_nonzero": unselected_hits}

@@ -49,8 +49,8 @@ def plan_patches(length: int, rate: float, f_min: int = 1, f_max: int = 4096) ->
     """
     if length < 1:
         raise ValueError(f"signal length must be >= 1, got {length}")
-    if not rate > 0:
-        raise ValueError(f"sampling rate must be positive, got {rate}")
+    if not 0 < rate < float("inf"):
+        raise ValueError(f"sampling rate must be positive and finite, got {rate}")
     if not 1 <= f_min <= f_max:
         raise ValueError(f"need 1 <= f_min <= f_max, got ({f_min}, {f_max})")
 

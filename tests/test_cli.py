@@ -179,6 +179,21 @@ class TestExpand:
         assert not (tmp_path / "out.bin").exists()
 
 
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    def test_nonfinite_noise_is_module_error(self, tmp_path, capsys, noise):
+        rng = Rng(19)
+        spec = MoeLayerSpec(num_experts=4, active_k=1, num_groups=1, model_dim=3, hidden_dim=5)
+        src, dst = tmp_path / "layer.bin", tmp_path / "out.bin"
+        with open(src, "wb") as fp:
+            save_layer(fp, rng.normal_matrix(4, 3), ExpertBank.random(rng, spec))
+        code = run(["expand", "--input", str(src), "--output", str(dst), "--groups", "4",
+                    "--noise", noise, "--out", str(tmp_path / "e.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and "noise scale must be finite and >= 0" in err
+        assert not dst.exists()
+
+
 class TestReplayVerify:
     def test_record_then_replay_from_file(self, tmp_path):
         trace_path = tmp_path / "trace.bin"
@@ -237,6 +252,66 @@ class TestPrecisionSweep:
     def test_unknown_policy_is_module_error(self):
         code = run(["precision-sweep", "--policies", "fp13"])
         assert code == 1
+
+
+class TestArgumentHoles:
+    """Bad arguments fail with one typed line and exit 1, or as usage errors
+    with exit 2, and write no CSV. Each case once escaped as a traceback,
+    printed a numpy warning block, named the wrong limit, or exited 0 with a
+    vacuous result."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["gradcheck-ste", "--taus", ""], "temperatures must be finite, positive"),
+            (["gradcheck-ste", "--taus", "0"], "temperatures must be finite, positive"),
+            (["gradcheck-ste", "--n", "0"], "need n >= 2 and 1 <= k <= n"),
+            (["gradcheck-ste", "--n", "1", "--k", "1"], "need n >= 2 and 1 <= k <= n"),
+            (["gradcheck-ste", "--trials", "0"], "trials must be at least 1"),
+            (["gradcheck-rl", "--trials", "0"], "trials must be at least 1"),
+            (["gradcheck-rl", "--maxlen", "0"], "maxlen must be at least 1"),
+            (["gradcheck-rl", "--vocab", "1"], "vocab must be at least 2"),
+            (["replay-verify", "--perturb", "inf"], "perturb must be finite and >= 0"),
+            (["replay-verify", "--perturb", "1e308"], "non-finite router logit"),
+            (["balance-sim", "--experts", "0"], "num_experts must be positive, got 0"),
+            (["balance-sim", "--trials", "0"], "trials must be at least 1"),
+            (["balance-sim", "--trials", "-1"], "trials must be at least 1"),
+            (["precision-sweep", "--trials", "-1"], "trials must be at least 1"),
+            (["precision-sweep", "--policies", ""], "need at least one policy"),
+            (["plan-patches", "--len", "10", "--rate", "inf"], "positive and finite"),
+        ],
+    )
+    def test_module_error_is_one_line(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "o.csv"
+        code = run(argv + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith(f"moelab {argv[0]}: ")
+        assert message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gradcheck-ste", "gradcheck-rl"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-6"])
+    def test_nonfinite_or_negative_tolerance_is_usage_error(self, tmp_path, capsys, command, tol):
+        out = tmp_path / "o.csv"
+        assert run([command, "--trials", "1", f"--tol={tol}", "--out", str(out)]) == 2
+        assert "argument --tol: invalid _tolerance value" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_tolerance_from_config_is_module_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tol = nan\n")
+        assert run(["gradcheck-ste", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "tolerance must be finite and >= 0" in err
+
+    def test_zero_filled_trace_is_rejected_at_its_header(self, tmp_path, capsys):
+        zeros = tmp_path / "zeros.bin"
+        zeros.write_bytes(bytes(1 << 16))
+        assert run(["replay-verify", "--replay-trace", str(zeros),
+                    "--out", str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "bad trace magic" in err
 
 
 class TestUsageAndConfig:

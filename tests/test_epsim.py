@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
+from moelab import epsim
 from moelab.core import Rng
-from moelab.epsim import LoadReport, balance_loss, balance_metrics, balance_trial, dispatch
+from moelab.epsim import (
+    LoadReport,
+    balance_loss,
+    balance_metrics,
+    balance_trial,
+    balance_trials,
+    dispatch,
+)
 from moelab.routing import MoeLayerSpec
 
 
@@ -110,3 +118,47 @@ class TestBalanceLoss:
         for _ in range(200):
             loss = balance_loss(rng.normal_matrix(64, 8), rng.normal_matrix(16, 8), spec)
             assert loss >= 1.0 - 1e-12
+
+
+def as_bits(values):
+    return np.array(values, dtype=np.float64).view(np.uint64)
+
+
+class TestBalanceTrial:
+    @pytest.mark.parametrize("mode,groups", [("plain_topk", 1), ("grouped", 8)])
+    def test_equals_longhand_dispatch_and_loss_bitwise(self, mode, groups):
+        spec = spec64(groups=groups)
+        for seed in (0, 5, 2**40 + 3):
+            # longhand: router first, then tokens, each routed by its own call
+            rng = Rng(seed)
+            w = rng.normal_matrix(64, 16)
+            batch = rng.normal_matrix(300, 16)
+            m = balance_metrics(dispatch(batch, w, spec, 8, mode))
+            want = [m["max_over_mean"], m["coefficient_of_variation"], balance_loss(batch, w, spec)]
+            row = balance_trial(mode, seed, spec, 8, 300)
+            assert (row["mode"], row["T"], row["seed"]) == (mode, 300, seed)
+            got = [row["max_over_mean"], row["cv"], row["balance_loss"]]
+            assert np.array_equal(as_bits(got), as_bits(want)), seed
+
+    @pytest.mark.parametrize("mode,groups", [("plain_topk", 1), ("grouped", 8)])
+    def test_routes_the_batch_once(self, monkeypatch, mode, groups):
+        calls = []
+        real = epsim.router_probs_batch
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(epsim, "router_probs_batch", counting)
+        balance_trial(mode, 1, spec64(groups=groups), 8, 64)
+        assert len(calls) == 1
+
+    def test_trials_are_consecutive_seeds(self):
+        rows = balance_trials("grouped", 10, spec64(), 8, 32, 3)
+        assert [r["seed"] for r in rows] == [10, 11, 12]
+        assert rows[1] == balance_trial("grouped", 11, spec64(), 8, 32)
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_rejected(self, trials):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            balance_trials("grouped", 0, spec64(), 8, 32, trials)

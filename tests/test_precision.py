@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from moelab import precision
 from moelab.core import Rng, log_softmax
 from moelab.precision import (
-    E4M3,
     POLICIES,
-    Fp8Format,
     PrecisionPolicy,
     apply_format,
     bf16_round,
@@ -16,6 +15,7 @@ from moelab.precision import (
     fp32_round,
     fp8_grid,
     mixed_forward,
+    precision_sweep,
     quantize_fp8,
 )
 from moelab.routing import ExpertBank, MoeLayerSpec, moe_forward, route_token
@@ -53,12 +53,6 @@ class TestFormat:
         assert grid[-1] == 448.0
         assert np.all(np.diff(grid) > 0)
 
-    def test_inconsistent_layout_rejected(self):
-        with pytest.raises(ValueError):
-            Fp8Format(max_normal=960.0)
-        with pytest.raises(ValueError):
-            Fp8Format(exponent_bits=5, mantissa_bits=3)
-
 
 class TestQuantizeFp8:
     def test_zero_tensor(self):
@@ -86,11 +80,6 @@ class TestQuantizeFp8:
         assert dequantize_fp8(q.codes, q.scale)[0] == 448.0
         q = quantize_fp8(np.array([-10_000.0]), scale=1.0)
         assert dequantize_fp8(q.codes, q.scale)[0] == -448.0
-
-    def test_non_saturating_raises(self):
-        fmt = Fp8Format(saturating=False)
-        with pytest.raises(ValueError, match="max normal"):
-            quantize_fp8(np.array([500.0]), fmt=fmt, scale=1.0)
 
     def test_double_round_trip_idempotent(self):
         rng = Rng(1)
@@ -334,6 +323,44 @@ class TestDivergenceTrials:
         ref = divergence_trial(POLICIES["ref64"], 3)
         assert ref["max_abs_logit_diff"] == 0.0
         assert ref["kl_k1"] == 0.0
+
+
+class TestPrecisionSweep:
+    @pytest.mark.parametrize("samples", [1, 7, 65536])
+    def test_shared_layer_rows_equal_one_policy_trials_bitwise(self, samples):
+        names = list(POLICIES)
+        assert len(names) == 6
+        rows = precision_sweep(names, 3, 5, samples)
+        assert [(r["policy"], r["seed"]) for r in rows] == [
+            (n, 5 + i) for n in names for i in range(3)
+        ]
+        for r in rows:
+            want = divergence_trial(POLICIES[r["policy"]], r["seed"], samples=samples)
+            got = np.array([r["kl_k1"], r["max_abs_logit_diff"]]).view(np.uint64)
+            exp = np.array([want["kl_k1"], want["max_abs_logit_diff"]]).view(np.uint64)
+            assert np.array_equal(got, exp), (r["policy"], r["seed"])
+
+    def test_one_reference_forward_per_seed(self, monkeypatch):
+        calls = []
+        real = precision.mixed_forward
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(precision, "mixed_forward", counting)
+        precision_sweep(list(POLICIES), 3, 0, 64)
+        assert len(calls) == 3 * 7  # per seed: the reference, then six policies
+
+    @pytest.mark.parametrize(
+        "names,trials,match",
+        [([], 1, "at least one policy"), (["fp13"], 1, "unknown policies"),
+         (["mixed_fp8"], 0, "trials must be at least 1"),
+         (["mixed_fp8"], -1, "trials must be at least 1")],
+    )
+    def test_bad_arguments_rejected(self, names, trials, match):
+        with pytest.raises(ValueError, match=match):
+            precision_sweep(names, trials, 0, 64)
 
 
 def awkward_stack():

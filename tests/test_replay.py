@@ -1,6 +1,10 @@
+import io
+import struct
+
 import numpy as np
 import pytest
 
+from moelab import replay
 from moelab.core import Rng
 from moelab.replay import (
     RoutingTrace,
@@ -184,3 +188,52 @@ class TestTraceSerialization:
     def test_trace_validation(self):
         with pytest.raises(TraceError, match="ascending"):
             RoutingTrace(indices=np.array([[[1, 0]]], dtype=np.uint16))
+
+
+class CountingStream(io.BytesIO):
+    """In-memory file that counts the bytes handed out by ``read``."""
+
+    def __init__(self, data: bytes):
+        super().__init__(data)
+        self.bytes_read = 0
+
+    def read(self, n=-1):
+        data = super().read(n)
+        self.bytes_read += len(data)
+        return data
+
+
+class TestLoadTraceBounded:
+    HEADER = 16  # magic, u16 version, u32 tokens, u32 layers, u16 k
+
+    def load_from(self, monkeypatch, data: bytes):
+        stream = CountingStream(data)
+        monkeypatch.setattr(replay, "open", lambda path, mode: stream, raising=False)
+        return stream
+
+    def test_zeros_rejected_after_the_header(self, monkeypatch):
+        stream = self.load_from(monkeypatch, bytes(1 << 20))
+        with pytest.raises(TraceMagicError):
+            load_trace("zeros.bin")
+        assert stream.bytes_read <= self.HEADER
+
+    def test_oversized_declaration_rejected_before_the_payload(self, monkeypatch):
+        header = struct.pack("<4sHIIH", b"RTRC", 1, 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFF)
+        stream = self.load_from(monkeypatch, header + bytes(64))
+        with pytest.raises(TraceTruncatedError, match="got 64"):
+            load_trace("crafted.bin")
+        assert stream.bytes_read <= self.HEADER
+
+    def test_trailing_bytes_rejected(self, monkeypatch):
+        trace = RoutingTrace(indices=np.array([[[0, 3]]], dtype=np.uint16))
+        self.load_from(monkeypatch, serialize_trace(trace) + b"\x00")
+        with pytest.raises(TraceError, match="1 trailing bytes"):
+            load_trace("trailing.bin")
+
+    def test_valid_file_reads_exactly_its_bytes(self, monkeypatch):
+        rng = Rng(14)
+        trace = record_trace(rng.normal_matrix(9, 5), make_layers(rng, num_layers=2))
+        blob = serialize_trace(trace)
+        stream = self.load_from(monkeypatch, blob)
+        assert np.array_equal(load_trace("ok.bin").indices, trace.indices)
+        assert stream.bytes_read == len(blob)

@@ -42,12 +42,15 @@ class TestSpecValidation:
             dict(num_experts=8, active_k=9, num_groups=1, model_dim=4, hidden_dim=8),
             dict(num_experts=8, active_k=2, num_groups=3, model_dim=4, hidden_dim=8),
             dict(num_experts=8, active_k=2, num_groups=4, model_dim=4, hidden_dim=8),
-            dict(num_experts=8, active_k=2, num_groups=2, model_dim=4, hidden_dim=8, temperature=0.0),
         ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             MoeLayerSpec(**kwargs)
+
+    def test_no_experts_named_before_k(self):
+        with pytest.raises(ValueError, match="num_experts must be positive, got 0"):
+            MoeLayerSpec(num_experts=0, active_k=8, num_groups=1, model_dim=4, hidden_dim=8)
 
 
 class TestRouterProbs:
