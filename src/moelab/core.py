@@ -7,12 +7,16 @@ normalizers (last axis, max-shifted). Randomness comes from :class:`Rng`,
 a counter-based generator whose output stream depends only on ``(seed,
 counter)`` so test vectors are portable across platforms and languages.
 :func:`finite_diff_grad` is the independent oracle every analytic-gradient
-rule in this package is checked against.
+rule in this package is checked against. ``_read_framed`` is the one reader
+of the binary file formats' framing (layer checkpoints, routing traces).
 """
 
 from __future__ import annotations
 
+import io
+import struct
 from collections.abc import Callable
+from typing import BinaryIO
 
 import numpy as np
 
@@ -147,3 +151,37 @@ def finite_diff_grad(
             )
         grad[j] = (fp - fm) / (2.0 * h)
     return grad
+
+
+def _read_framed(
+    fp: BinaryIO, header: struct.Struct, magic: bytes, version: int,
+    payload_size: Callable[..., int], what: str, error: type[ValueError],
+) -> tuple[list[int], bytes]:
+    """Read one framed record that fills a seekable stream from its position:
+    ``header`` (magic, version, nonzero dimensions), then
+    ``payload_size(*dimensions)`` bytes.
+
+    The declared size is checked against the bytes left before the payload
+    is read, so a crafted header cannot make the reader allocate more than
+    the input holds; bytes after the payload are rejected. Each failure
+    raises ``error`` naming ``what`` and the check. Returns (dimensions, payload).
+    """
+    raw = fp.read(header.size)
+    if len(raw) < header.size:
+        raise error(f"truncated {what} header: needs {header.size} bytes, got {len(raw)}")
+    got_magic, got_version, *fields = header.unpack(raw)
+    if got_magic != magic:
+        raise error(f"bad {what} magic {got_magic!r}")
+    if got_version != version:
+        raise error(f"unsupported {what} version {got_version}")
+    if not all(fields):  # an empty record would reshape to dimensions no array can hold
+        raise error(f"{what} header declares a zero dimension: {tuple(fields)}")
+    size = payload_size(*fields)
+    start = fp.tell()
+    available = fp.seek(0, io.SEEK_END) - start
+    if size > available:
+        raise error(f"truncated {what} payload: needs {size} bytes, got {available}")
+    if size < available:
+        raise error(f"{available - size} trailing bytes after {what} payload")
+    fp.seek(start)
+    return fields, fp.read(size)

@@ -15,19 +15,19 @@ deterministic selection. Two seeding strategies are provided:
 
 Activation frequency comes from a calibration batch routed through the
 original layer. Layer checkpoints round-trip through a little-endian
-binary format so expansion is drivable from the command line.
+binary format so expansion is drivable from the command line; the
+framing rules are ``core._read_framed``'s, shared with routing traces.
 """
 
 from __future__ import annotations
 
-import io
 import struct
 from dataclasses import dataclass
 from typing import BinaryIO, Literal
 
 import numpy as np
 
-from moelab.core import Rng, as_matrix
+from moelab.core import Rng, _read_framed, as_matrix
 from moelab.routing import ExpertBank, router_probs_batch
 
 __all__ = [
@@ -218,9 +218,13 @@ def expand_layer(
     new_router = w[plan.mapping].copy()
     if noise > 0:
         d = w.shape[1]
-        row_norms = np.linalg.norm(new_router, axis=1, keepdims=True)
         perturb = rng.normal(plan.new_count * d).reshape(plan.new_count, d)
-        new_router += noise * row_norms * perturb
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite row is rejected below
+            row_norms = np.linalg.norm(new_router, axis=1, keepdims=True)
+            new_router += noise * row_norms * perturb
+        bad = ~np.isfinite(new_router).all(axis=1)
+        if bad.any():
+            raise ValueError(f"perturbed router row {np.flatnonzero(bad)[0]} is not finite (noise {noise})")
     return new_bank, new_router
 
 
@@ -242,33 +246,16 @@ def save_layer(fp: BinaryIO, w_router, bank: ExpertBank) -> None:
 
 
 def load_layer(fp: BinaryIO) -> tuple[np.ndarray, ExpertBank]:
-    """Read a checkpoint written by :func:`save_layer` from a seekable stream.
-
-    The payload size the header declares is checked against the bytes left
-    in the stream before anything is read, so a crafted header cannot make
-    the reader allocate more than the input holds. The payload must end
-    the stream and every weight must be finite.
+    """Read a checkpoint written by :func:`save_layer` that fills a seekable
+    stream from its position; the framing is checked before the payload is
+    read, and every weight must be finite.
     """
-    header = fp.read(_HEADER.size)
-    if len(header) < _HEADER.size:
-        raise CheckpointError("truncated checkpoint header")
-    magic, version, n, d, hidden = _HEADER.unpack(header)
-    if magic != _MAGIC:
-        raise CheckpointError(f"bad checkpoint magic {magic!r}")
-    if version != _VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
+    (n, d, hidden), payload = _read_framed(
+        fp, _HEADER, _MAGIC, _VERSION, lambda n, d, hidden: 8 * (n * d + 2 * n * hidden * d),
+        "checkpoint", CheckpointError,
+    )
     counts = [n * d, n * hidden * d, n * d * hidden]
-    size = 8 * sum(counts)
-    start = fp.tell()
-    available = fp.seek(0, io.SEEK_END) - start
-    fp.seek(start)
-    if size > available:
-        raise CheckpointError(
-            f"truncated checkpoint payload: {size} bytes declared, {available} left"
-        )
-    if size < available:
-        raise CheckpointError(f"{available - size} trailing bytes after checkpoint payload")
-    flat = np.frombuffer(fp.read(size), dtype="<f8")
+    flat = np.frombuffer(payload, dtype="<f8")
     if not np.isfinite(flat).all():
         at = int(np.flatnonzero(~np.isfinite(flat))[0])
         raise CheckpointError(f"non-finite checkpoint weight {flat[at]} at payload index {at}")

@@ -11,7 +11,8 @@ constants instead).
 Traces serialize to a compact binary format: magic ``RTRC``, version u16,
 token count u32, layer count u32, k u16, then token-major packed
 little-endian u16 expert indices (ascending within each entry). The u16
-payload caps expert counts at 65536.
+payload caps expert counts at 65536. The framing rules are
+``core._read_framed``'s, shared with layer checkpoints.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from moelab.core import Rng, as_matrix, as_vector
+from moelab.core import Rng, _read_framed, as_matrix, as_vector
 from moelab.routing import (
     MoeLayerSpec,
     RoutingDecision,
@@ -37,9 +38,6 @@ from moelab.routing import (
 __all__ = [
     "RoutingTrace",
     "TraceError",
-    "TraceMagicError",
-    "TraceVersionError",
-    "TraceTruncatedError",
     "record_trace",
     "replay_select",
     "serialize_trace",
@@ -57,18 +55,6 @@ MAX_EXPERTS = 1 << 16
 
 class TraceError(ValueError):
     """Malformed routing trace."""
-
-
-class TraceMagicError(TraceError):
-    """Stream does not start with the trace magic."""
-
-
-class TraceVersionError(TraceError):
-    """Unsupported trace format version."""
-
-
-class TraceTruncatedError(TraceError):
-    """Stream ends before the declared payload."""
 
 
 @dataclass
@@ -167,32 +153,17 @@ def serialize_trace(trace: RoutingTrace) -> bytes:
     return header + np.ascontiguousarray(trace.indices, dtype="<u2").tobytes()
 
 
-def _trace_dims(header: bytes, payload_bytes: int) -> tuple[int, int, int]:
-    """(tokens, layers, k) of a trace header followed by ``payload_bytes``
-    bytes; a short header, wrong magic or version, or wrong size raises."""
-    if len(header) < _HEADER.size:
-        raise TraceTruncatedError(
-            f"trace header needs {_HEADER.size} bytes, got {len(header)}"
-        )
-    magic, version, tokens, layers, k = _HEADER.unpack(header[: _HEADER.size])
-    if magic != _MAGIC:
-        raise TraceMagicError(f"bad trace magic {magic!r}")
-    if version != _VERSION:
-        raise TraceVersionError(f"unsupported trace version {version}")
-    expected = tokens * layers * k * 2
-    if payload_bytes < expected:
-        raise TraceTruncatedError(
-            f"trace payload needs {expected} bytes, got {payload_bytes}"
-        )
-    if payload_bytes > expected:
-        raise TraceError(f"{payload_bytes - expected} trailing bytes after trace payload")
-    return tokens, layers, k
+def _read_trace(fp) -> RoutingTrace:
+    """Read a trace that fills a seekable stream from its position."""
+    dims, payload = _read_framed(
+        fp, _HEADER, _MAGIC, _VERSION, lambda tokens, layers, k: 2 * tokens * layers * k,
+        "trace", TraceError,
+    )
+    return RoutingTrace(indices=np.frombuffer(payload, dtype="<u2").reshape(dims).copy())
 
 
 def deserialize_trace(data: bytes) -> RoutingTrace:
-    dims = _trace_dims(data, len(data) - _HEADER.size)
-    indices = np.frombuffer(data, dtype="<u2", offset=_HEADER.size).reshape(dims)
-    return RoutingTrace(indices=indices.copy())
+    return _read_trace(io.BytesIO(data))
 
 
 def save_trace(path, trace: RoutingTrace) -> None:
@@ -201,13 +172,9 @@ def save_trace(path, trace: RoutingTrace) -> None:
 
 
 def load_trace(path) -> RoutingTrace:
-    """Read a trace file, checking the header against the file size before
-    the payload is read: a file cannot make the reader allocate more than it holds."""
+    """Read a trace file; its size is checked before the payload is read."""
     with open(path, "rb") as fp:
-        header = fp.read(_HEADER.size)
-        _trace_dims(header, fp.seek(0, io.SEEK_END) - len(header))
-        fp.seek(len(header))
-        return deserialize_trace(header + fp.read())
+        return _read_trace(fp)
 
 
 def replay_verify(

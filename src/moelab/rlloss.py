@@ -186,20 +186,23 @@ def rl_loss(batch: RolloutBatch, cfg: MaskConfig = MaskConfig()) -> RlLossResult
     coefficient is a constant with respect to the differentiated policy.
     """
     g = batch.group_size
-    adv = loo_advantage(batch.rewards)
     coefs: list[np.ndarray] = []
     total = 0.0
-    for i in range(g):
-        with np.errstate(over="ignore"):  # overflow -> inf is caught just below
+    # the inf or nan of an overflow is rejected below, naming the response
+    with np.errstate(over="ignore", invalid="ignore"):
+        adv = loo_advantage(batch.rewards)
+        for i in range(g):
             rho = np.exp(batch.logp_train[i] - batch.logp_rollout[i])
             ratio = np.exp(batch.logp_new[i] - batch.logp_old[i])
-        for name, arr in (("train/rollout", rho), ("new/old", ratio)):
-            if not np.isfinite(arr).all():
-                t = np.flatnonzero(~np.isfinite(arr))[0]
-                raise ValueError(f"non-finite {name} importance ratio at response {i}, token {t}")
-        c = _masked(rho, cfg) * ratio * adv[i]
-        coefs.append(c)
-        total += float((c * batch.logp_new[i]).sum()) / batch.response_length(i)
+            for name, arr in (("train/rollout", rho), ("new/old", ratio)):
+                if not np.isfinite(arr).all():
+                    t = np.flatnonzero(~np.isfinite(arr))[0]
+                    raise ValueError(f"non-finite {name} importance ratio at response {i}, token {t}")
+            c = _masked(rho, cfg) * ratio * adv[i]
+            coefs.append(c)
+            total += float((c * batch.logp_new[i]).sum()) / batch.response_length(i)
+            if not np.isfinite(total):  # also catches a non-finite advantage or coefficient
+                raise ValueError(f"loss is not finite at response {i} (advantage {adv[i]})")
     return RlLossResult(loss=-total / g + 0.0, per_token_coef=coefs)
 
 

@@ -1,5 +1,7 @@
-"""Shared test scaffolding: exactly-linear expert banks and brute-force oracles."""
+"""Shared test scaffolding: exactly-linear expert banks, brute-force
+oracles and a read-counting stream."""
 
+import io
 import itertools
 
 import numpy as np
@@ -46,3 +48,16 @@ def brute_grouped(p, spec):
         block = p[lo : lo + spec.group_size]
         out.extend(lo + i for i in brute_topk(block, spec.k_per_group))
     return np.sort(np.array(out, dtype=np.int64))
+
+
+class CountingStream(io.BytesIO):
+    """In-memory file that counts the bytes handed out by ``read``."""
+
+    def __init__(self, data: bytes):
+        super().__init__(data)
+        self.bytes_read = 0
+
+    def read(self, n=-1):
+        data = super().read(n)
+        self.bytes_read += len(data)
+        return data

@@ -115,6 +115,20 @@ class TestGradchecks:
         assert "logp_new[0] has a -inf log-probability at token 1" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", [
+        "1e308 1 -0.5 -0.5 -0.5 -0.5\n1e308 1 -0.5 -0.5 -0.5 -0.5\n",
+        "1e308 1 -0.5 -0.5 -1e308 -0.5\n-1e308 1 -0.5 -0.5 -1e308 -0.5\n",
+    ])
+    def test_rl_batch_overflowing_loss_is_module_error(self, tmp_path, capsys, text):
+        path = tmp_path / "batch.txt"
+        path.write_text(text)
+        out = tmp_path / "l.csv"
+        code = run(["gradcheck-rl", "--batch", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and "loss is not finite at response 0" in err
+        assert not out.exists()
+
 
 class TestExpand:
     def test_checkpoint_round_trip(self, tmp_path):
@@ -191,6 +205,19 @@ class TestExpand:
         err = capsys.readouterr().err
         assert code == 1
         assert err.count("\n") == 1 and "noise scale must be finite and >= 0" in err
+        assert not dst.exists()
+
+    def test_overflowing_noise_is_module_error(self, tmp_path, capsys):
+        rng = Rng(19)
+        spec = MoeLayerSpec(num_experts=4, active_k=1, num_groups=1, model_dim=3, hidden_dim=5)
+        src, dst = tmp_path / "layer.bin", tmp_path / "out.bin"
+        with open(src, "wb") as fp:
+            save_layer(fp, rng.normal_matrix(4, 3), ExpertBank.random(rng, spec))
+        code = run(["expand", "--input", str(src), "--output", str(dst), "--groups", "4",
+                    "--noise", "1e308", "--out", str(tmp_path / "e.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and "perturbed router row 1 is not finite" in err
         assert not dst.exists()
 
 
@@ -279,6 +306,9 @@ class TestArgumentHoles:
             (["precision-sweep", "--trials", "-1"], "trials must be at least 1"),
             (["precision-sweep", "--policies", ""], "need at least one policy"),
             (["plan-patches", "--len", "10", "--rate", "inf"], "positive and finite"),
+            (["gradcheck-ste", "--taus", "1e300", "--tol", "0"],
+             "finite-difference gradient is zero at temperature 1e+300"),
+            (["gradcheck-ste", "--taus", "1e-310"], "finite-difference oracle failure"),
         ],
     )
     def test_module_error_is_one_line(self, tmp_path, capsys, argv, message):

@@ -264,6 +264,29 @@ class TestRlLoss:
             rl_loss(self._batch_with(name, -np.inf), CFG)
 
 
+    def test_neg_inf_train_and_rollout_logp_gives_nan_ratio(self):
+        batch = self._batch_with("logp_train", -np.inf)
+        batch.logp_rollout[1][2] = -np.inf  # -inf - -inf is nan, with no numpy warning
+        with pytest.raises(ValueError, match=r"non-finite train/rollout importance ratio at response 1, token 2"):
+            rl_loss(batch, CFG)
+
+    @pytest.mark.parametrize("rewards,new,old,response", [
+        ((1e308, 1e308), (-0.5, -0.5), (-0.5, -0.5), 0),  # the reward sum overflows
+        ((1e308, -1e308), (-1e308, -0.5), (-0.5, -0.5), 0),  # advantage 2e308 times ratio 0
+        ((0.0, 1e5), (-0.5, -0.5), (-0.5, -710.0), 1),  # ratio e**709.5 times advantage 1e5
+    ])
+    def test_overflowing_loss_names_response(self, rewards, new, old, response):
+        batch = RolloutBatch(
+            logp_train=[np.array([-0.5])] * 2,
+            logp_rollout=[np.array([-0.5])] * 2,
+            logp_new=[np.array([v]) for v in new],
+            logp_old=[np.array([v]) for v in old],
+            rewards=np.array(rewards),
+        )
+        with pytest.raises(ValueError, match=rf"loss is not finite at response {response} "):
+            rl_loss(batch, CFG)
+
+
 def make_policy_instance(rng, group=2, max_len=4, vocab=5):
     lens = [1 + int(rng.uniform(1)[0] * max_len) for _ in range(group)]
     policy = ToyPolicy(

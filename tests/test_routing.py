@@ -381,7 +381,7 @@ def tied_rows(draw, max_groups, max_size):
 class TestSelectionProperties:
     """The selection kernel against the enumeration oracles on tie-heavy input."""
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(tied_rows(max_groups=4, max_size=5))
     @example((np.array([[0.25, 0.5, 0.5, 0.0]]), 2, 1))  # take == 1
     @example((np.array([[0.0, -0.0, 0.125, 0.125]]), 2, 2))  # take == group size
@@ -397,7 +397,7 @@ class TestSelectionProperties:
         for row, sel in zip(p, got):
             assert np.array_equal(sel, brute_grouped(row, spec))
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(tied_rows(max_groups=1, max_size=10))
     @example((np.array([[0.125, 0.25, 0.125, 0.5, 0.125, 0.125]]), 1, 3))  # straddling tie
     @example((np.array([[-0.0, 0.0, 0.0, -0.0]]), 1, 2))  # signed-zero ties
