@@ -239,6 +239,8 @@ def save_layer(fp: BinaryIO, w_router, bank: ExpertBank) -> None:
     n, hidden, d = bank.w_in.shape
     if w.shape != (n, d):
         raise ValueError(f"router shape {w.shape} inconsistent with bank ({n}, {d})")
+    if not (n and d and hidden):  # load_layer refuses a zero dimension
+        raise CheckpointError(f"checkpoint would declare a zero dimension: {(n, d, hidden)}")
     fp.write(_HEADER.pack(_MAGIC, _VERSION, n, d, hidden))
     fp.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
     fp.write(np.ascontiguousarray(bank.w_in, dtype="<f8").tobytes())

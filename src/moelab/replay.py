@@ -3,10 +3,10 @@
 During a rollout pass, :func:`record_trace` stores the selected expert
 indices for every (token, layer). A later training pass calls
 :func:`replay_select` to force those selections regardless of how the
-router has moved since: the selected set comes from the trace, while gate
-weights are recomputed from the *current* probabilities renormalized over
-the frozen set (pass ``gate_override`` to replay recorded gate values as
-constants instead).
+router has moved since: the selected set comes from the trace, while the
+``RoutingDecision`` built from it recomputes gate weights from the
+*current* probabilities renormalized over the frozen set (pass
+``gate_override`` to replay recorded gate values as constants instead).
 
 Traces serialize to a compact binary format: magic ``RTRC``, version u16,
 token count u32, layer count u32, k u16, then token-major packed
@@ -29,7 +29,6 @@ from moelab.routing import (
     MoeLayerSpec,
     RoutingDecision,
     RoutingMode,
-    gate_weights,
     router_probs,
     router_probs_batch,
     select,
@@ -130,7 +129,8 @@ def replay_select(
 
     Gates are the current probabilities renormalized over the frozen set,
     so they stay differentiable w.r.t. the live router. ``gate_override``
-    replays fixed gate values instead (they must sum to 1).
+    replays fixed gate values instead (they must sum to 1). All checks
+    past the trace entry's range are :class:`RoutingDecision`'s.
     """
     p = as_vector(current_probs, "current_probs")
     s = trace.entry(token, layer)
@@ -139,11 +139,7 @@ def replay_select(
             f"trace entry for token {token}, layer {layer} references expert "
             f"{int(s.max())} but only {p.size} experts exist"
         )
-    if gate_override is not None:
-        gates = as_vector(gate_override, "gate_override")
-    else:
-        gates = gate_weights(p, s)
-    return RoutingDecision(probs=p, selected=s, gates=gates, logits=None)
+    return RoutingDecision(p, s, gates=gate_override)
 
 
 def serialize_trace(trace: RoutingTrace) -> bytes:

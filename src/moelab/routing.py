@@ -2,15 +2,15 @@
 the expert-mixture forward pass, and the straight-through router gradient.
 
 A router matrix ``W`` (one row per expert) scores a token ``x`` as
-``z = W @ x``; probabilities are ``softmax(z / temperature)``. Plain top-k
+``z = W @ x``; probabilities are ``softmax(z)``. Plain top-k
 picks the k highest-probability experts globally; grouped selection splits
 the experts into contiguous blocks and picks ``k / num_groups`` within each
 block, which pins the per-block (hence per-device) assignment count.
 
 The straight-through path keeps the ordinary renormalized gate values in
 the forward direction while the backward rule differentiates the full
-(temperature-scaled) softmax, so every expert's router row receives a
-gradient on every token, selected or not.
+temperature-scaled softmax, so every expert's router row receives a
+gradient on every token, selected or not. Only that rule takes a temperature.
 
 Ties in any selection are broken toward the lower expert index and
 selections are returned in ascending index order. Both choices are
@@ -31,11 +31,12 @@ product rounds differently from T matrix-vector products, so batch code
 must not become a loop of per-token calls, nor per-token callers one
 batch call.
 
-Per-token calls are validated cheaply. :class:`RoutingDecision` checks
-strict ascent of the selection first, which implies distinct indices, and
-takes the index range from its two endpoints. ``np.unique`` and full
-min/max scans run only after the ascent check has failed, to pick the
-message (repeated indices before range before order).
+A per-token decision is built and checked once, by :class:`RoutingDecision`,
+which also derives its gates. It tests strict ascent of the selection
+first, which implies distinct indices, and takes the index range from its
+two endpoints. ``np.unique`` and full min/max scans run only after the
+ascent check has failed, to pick the message (repeated indices before
+range before order).
 :func:`moe_forward` and ``precision.mixed_forward`` share one
 expert-mixture loop, which sums the experts in selection order.
 """
@@ -152,29 +153,29 @@ class ExpertBank:
 
 @dataclass
 class RoutingDecision:
-    """One token's routing outcome: scores, selection, and gate weights.
+    """One token's routing outcome: probabilities, selection, and gate weights.
 
-    ``logits`` is None for decisions reconstructed from a recorded trace,
-    where only current probabilities are available.
+    ``gates=None`` derives them as :func:`gate_weights` does; given gates
+    (a replay override, a hand-built decision) are checked instead.
 
     Construction rejects, in this order: a selection that is not a
     nonempty 1-D array, repeated indices, indices outside ``[0, N)``, an
-    unsorted selection, gates not aligned with it, probs or gates not
-    summing to 1 within 1e-12, and logits of the wrong length. Strict
-    ascent is tested first: it implies distinct indices and puts the range
-    at the endpoints, so a valid selection costs one comparison pass.
+    unsorted selection, non-finite probs or probs not summing to 1 within
+    1e-12, zero probability mass on the selection (derived gates), and
+    given gates that are misaligned, non-finite or not summing to 1 within
+    1e-12. Strict ascent is tested first: it implies distinct indices and
+    puts the range at the endpoints, so a valid selection costs one
+    comparison pass.
     """
 
     probs: np.ndarray
     selected: np.ndarray
-    gates: np.ndarray
-    logits: np.ndarray | None = None
+    gates: np.ndarray | None = None
 
     def __post_init__(self):
-        self.probs = as_vector(self.probs, "probs")
+        self.probs = p = as_vector(self.probs, "probs")
         self.selected = s = np.asarray(self.selected, dtype=np.int64)
-        self.gates = as_vector(self.gates, "gates")
-        n = self.probs.size
+        n = p.size
         if s.ndim != 1 or s.size < 1:
             raise ValueError("selected must be a nonempty 1-D index array")
         ascending = (s[1:] > s[:-1]).all()
@@ -185,45 +186,41 @@ class RoutingDecision:
             raise ValueError(f"selected indices out of range [0, {n})")
         if not ascending:
             raise ValueError("selected indices must be sorted ascending")
-        if self.gates.shape != s.shape:
-            raise ValueError("gates must align positionally with selected")
-        if abs(self.probs.sum() - 1.0) > 1e-12:
+        _finite_probs(p[None])  # before the sum: a NaN sum passes any tolerance test
+        if abs(p.sum() - 1.0) > 1e-12:
             raise ValueError("probs must sum to 1 within 1e-12")
-        if abs(self.gates.sum() - 1.0) > 1e-12:
+        if self.gates is None:
+            self.gates = _renormalize(p, s)
+            return
+        self.gates = g = as_vector(self.gates, "gates")
+        if g.shape != s.shape:
+            raise ValueError("gates must align positionally with selected")
+        if not np.isfinite(g).all():
+            raise ValueError(f"gates must be finite, got {g}")
+        if abs(g.sum() - 1.0) > 1e-12:
             raise ValueError("gates must sum to 1 within 1e-12")
-        if self.logits is not None:
-            self.logits = as_vector(self.logits, "logits")
-            if self.logits.size != n:
-                raise ValueError("logits length must match probs")
 
 
-def _router_logits(tokens, w_router, temperature: float) -> np.ndarray:
-    """(T, N) logits ``(tokens @ W.T) / temperature``; rejects non-finite ones."""
-    if not temperature > 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    t = as_matrix(tokens, "tokens")
-    w = as_matrix(w_router, "w_router")
-    if w.shape[1] != t.shape[1]:
-        raise ValueError(f"router shape {w.shape} incompatible with token dim {t.shape[1]}")
-    z = (t @ w.T) / temperature
-    if not np.isfinite(z).all():
-        tok, exp = np.argwhere(~np.isfinite(z))[0]
-        raise ValueError(f"non-finite router logit for expert {exp} (token {tok})")
-    return z
-
-
-def router_probs_batch(tokens, w_router, temperature: float = 1.0) -> np.ndarray:
-    """Routing probabilities ``softmax((tokens @ W.T) / temperature)`` per row.
+def router_probs_batch(tokens, w_router) -> np.ndarray:
+    """Routing probabilities ``softmax(tokens @ W.T)`` per row.
 
     Each row sums to 1 within 1e-12. Raises on a non-finite logit, naming
     the offending expert and token.
     """
-    return softmax(_router_logits(tokens, w_router, temperature))
+    t = as_matrix(tokens, "tokens")
+    w = as_matrix(w_router, "w_router")
+    if w.shape[1] != t.shape[1]:
+        raise ValueError(f"router shape {w.shape} incompatible with token dim {t.shape[1]}")
+    z = t @ w.T
+    if not np.isfinite(z).all():
+        tok, exp = np.argwhere(~np.isfinite(z))[0]
+        raise ValueError(f"non-finite router logit for expert {exp} (token {tok})")
+    return softmax(z)
 
 
-def router_probs(x, w_router, temperature: float = 1.0) -> np.ndarray:
+def router_probs(x, w_router) -> np.ndarray:
     """1-row view of :func:`router_probs_batch` for one token ``x``."""
-    return router_probs_batch(as_vector(x, "x")[None], w_router, temperature)[0]
+    return router_probs_batch(as_vector(x, "x")[None], w_router)[0]
 
 
 def _block_topk(probs: np.ndarray, num_groups: int, take: int) -> np.ndarray:
@@ -311,6 +308,15 @@ def select(probs, spec: MoeLayerSpec, mode: RoutingMode) -> np.ndarray:
     raise ValueError(f"unknown routing mode {mode!r}")
 
 
+def _renormalize(p: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The gate rule ``p[s] / p[s].sum()`` for finite ``p`` and in-range ``s``."""
+    ps = p[s]
+    mass = ps.sum()
+    if not mass > 0.0:
+        raise ValueError("zero probability mass on the selected set")
+    return ps / mass
+
+
 def gate_weights(p, selected) -> np.ndarray:
     """Probabilities restricted to the selected set, renormalized to sum 1.
 
@@ -322,25 +328,16 @@ def gate_weights(p, selected) -> np.ndarray:
         raise ValueError("selected set must be nonempty")
     if s.min() < 0 or s.max() >= pv.size:
         raise ValueError(f"selected indices out of range [0, {pv.size})")
-    ps = pv[s]
-    mass = ps.sum()
-    if not mass > 0.0:
-        raise ValueError("zero probability mass on the selected set")
-    return ps / mass
+    return _renormalize(pv, s)
 
 
 def route_token(
     x, w_router, spec: MoeLayerSpec, mode: RoutingMode = "plain_topk"
 ) -> RoutingDecision:
-    """Full live routing of one token: logits, probs, selection, gates.
-
-    Selection probabilities use temperature 1; a temperature enters only
-    the straight-through backward rule.
-    """
-    z = _router_logits(as_vector(x, "x")[None], w_router, 1.0)
-    p = softmax(z)
-    s = select(p, spec, mode)[0]
-    return RoutingDecision(probs=p[0], selected=s, gates=gate_weights(p[0], s), logits=z[0])
+    """Live routing of one token: probs, selection under ``mode``, and the
+    decision, which derives the gates and checks the result."""
+    p = router_probs(x, w_router)
+    return RoutingDecision(p, select(p[None], spec, mode)[0])
 
 
 def _expert_mix(x: np.ndarray, gates: np.ndarray, w_ins, w_outs) -> np.ndarray:
@@ -365,19 +362,15 @@ def moe_forward(x, bank: ExpertBank, decision: RoutingDecision) -> np.ndarray:
     return _expert_mix(xv, decision.gates, w_ins, [bank.w_out[i] for i in sel])
 
 
-def ste_gate_value(z, selected, temperature: float = 1.0) -> np.ndarray:
+def ste_gate_value(z, selected) -> np.ndarray:
     """Forward value of the straight-through gates.
 
     Identical to ``gate_weights(softmax(z), selected)`` by construction:
     the straight-through surrogate only changes the backward rule, and the
     renormalized path avoids the cancellation noise of evaluating the
-    stop-gradient expression literally. ``temperature`` is accepted for
-    signature symmetry with :func:`ste_backward`; the forward value never
-    depends on it.
+    stop-gradient expression literally.
     """
-    del temperature
-    zv = as_vector(z, "z")
-    return gate_weights(softmax(zv), selected)
+    return gate_weights(softmax(as_vector(z, "z")), selected)
 
 
 def ste_backward(upstream, z, selected, temperature: float = 1.0) -> np.ndarray:
@@ -401,6 +394,8 @@ def ste_backward(upstream, z, selected, temperature: float = 1.0) -> np.ndarray:
         raise ValueError("upstream must align positionally with selected")
     if (s < 0).any() or (s >= zv.size).any():
         raise ValueError(f"selected indices out of range [0, {zv.size})")
+    if np.unique(s).size != s.size:  # u[s] = up would keep only one repeat's upstream
+        raise ValueError("selected indices must be distinct")
     p = softmax(zv / temperature)
     u = np.zeros_like(zv)
     u[s] = up

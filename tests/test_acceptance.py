@@ -99,7 +99,7 @@ def test_criterion_2_ste_gradient():
         sel = topk_select(softmax(z), k)
         up = rng.normal(k)
 
-        forward = ste_gate_value(z, sel, tau)
+        forward = ste_gate_value(z, sel)
         worst_forward = max(
             worst_forward, float(np.max(np.abs(forward - gate_weights(softmax(z), sel))))
         )

@@ -259,6 +259,15 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError, match=f"non-finite checkpoint weight .* index {index}$"):
             load_layer(io.BytesIO(bytes(data)))
 
+    @pytest.mark.parametrize("n, d, hidden", [(0, 3, 4), (2, 0, 4), (2, 3, 0)])
+    def test_empty_layer_refused_before_writing(self, n, d, hidden):
+        # load_layer refuses a zero dimension, so nothing may be written.
+        buf = io.BytesIO()
+        bank = ExpertBank(np.zeros((n, hidden, d)), np.zeros((n, d, hidden)))
+        with pytest.raises(CheckpointError, match="zero dimension"):
+            save_layer(buf, np.zeros((n, d)), bank)
+        assert buf.getvalue() == b""
+
     def test_bad_magic_detected(self):
         with pytest.raises(CheckpointError, match="magic"):
             load_layer(io.BytesIO(b"NOPE" + bytes(64)))

@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -112,7 +113,16 @@ class TestReplaySelect:
         p2 = router_probs(x, w2)
         replayed = replay_select(trace, 0, 0, p2)
         s = trace.entry(0, 0)
-        assert np.allclose(replayed.gates, p2[s] / p2[s].sum(), atol=1e-15)
+        want = p2[s] / p2[s].sum()
+        assert np.array_equal(replayed.gates.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("override", [None, [0.5, 0.5]], ids=["derived", "override"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_current_probs_rejected(self, bad, override):
+        trace = RoutingTrace(indices=np.array([[[0, 2]]], dtype=np.uint16))
+        p = np.array([0.25, bad, 0.25, 0.5])
+        with pytest.raises(ValueError, match="non-finite probability .* column 1"):
+            replay_select(trace, 0, 0, p, gate_override=override)
 
     def test_gate_override_is_replayed_verbatim(self):
         rng = Rng(9)

@@ -65,16 +65,6 @@ class TestRouterProbs:
         p = router_probs(np.array([math.log(2.0)]), w)
         assert np.allclose(p, [0.5, 0.25, 0.25], atol=1e-15)
 
-    def test_temperature_identity(self):
-        rng = Rng(3)
-        w = rng.normal_matrix(6, 5)
-        x = rng.normal(5)
-        assert np.allclose(
-            router_probs(x, w, temperature=2.0),
-            router_probs(x / 2.0, w, temperature=1.0),
-            atol=1e-15,
-        )
-
     def test_sums_to_one(self):
         rng = Rng(11)
         for _ in range(50):
@@ -258,8 +248,7 @@ class TestSteGateValue:
         for _ in range(100):
             z = rng.normal(6)
             s = topk_select(softmax(z), 3)
-            tau = 0.5 + rng.uniform(1)[0] * 2
-            a = ste_gate_value(z, s, tau)
+            a = ste_gate_value(z, s)
             b = gate_weights(softmax(z), s)
             assert np.array_equal(a, b)
 
@@ -268,7 +257,7 @@ class TestSteGateValue:
 
     def test_explicit_instance(self):
         z = np.array([1.0, 0.0, -1.0])
-        got = ste_gate_value(z, [0, 1], 1.0)
+        got = ste_gate_value(z, [0, 1])
         assert np.array_equal(got, gate_weights(softmax(z), [0, 1]))
 
 
@@ -325,15 +314,21 @@ class TestSteBackward:
         with pytest.raises(ValueError):
             ste_backward(np.zeros(3), np.zeros(4), [0, 1])
 
+    def test_repeated_indices_rejected(self):
+        # Summing both upstreams would give [-0.300, 0.666, -0.366]; keeping
+        # only the last one gave [-0.200, 0.444, -0.244].
+        with pytest.raises(ValueError, match="selected indices must be distinct"):
+            ste_backward([1.0, 2.0], [0.1, 0.2, 0.3], [1, 1])
+
 
 class TestBatchForms:
     def test_probs_match_softmax_oracle(self):
         rng = Rng(81)
         x = rng.normal_matrix(20, 5)
         w = rng.normal_matrix(9, 5)
-        batch = router_probs_batch(x, w, temperature=1.5)
+        batch = router_probs_batch(x, w)
         for t in range(20):
-            assert np.allclose(batch[t], softmax(w @ x[t] / 1.5), rtol=0, atol=1e-15)
+            assert np.allclose(batch[t], softmax(w @ x[t]), rtol=0, atol=1e-15)
 
     def test_topk_matches_enumeration_oracle(self):
         rng = Rng(82)
@@ -445,6 +440,34 @@ class TestNonFiniteProbabilities:
             call([0.1, bad, 0.5, 0.4])
 
 
+class TestGateRule:
+    """Derived gates against a test-local ``p[s] / p[s].sum()``, bit for bit."""
+
+    @staticmethod
+    def assert_rule(gates, p, s):
+        want = p[s] / p[s].sum()
+        assert np.array_equal(gates.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("mode", ["plain_topk", "grouped"])
+    def test_route_token(self, mode):
+        spec = MoeLayerSpec(num_experts=16, active_k=4, num_groups=2, model_dim=6, hidden_dim=8)
+        rng = Rng(91)
+        w = rng.normal_matrix(16, 6)
+        for _ in range(50):
+            x = rng.normal(6)
+            d = route_token(x, w, spec, mode)
+            p = router_probs(x, w)
+            assert np.array_equal(d.probs, p)
+            self.assert_rule(d.gates, p, d.selected)
+
+    def test_decision_from_probs_and_selection(self):
+        rng = Rng(92)
+        for _ in range(50):
+            p = softmax(rng.normal(12))
+            s = topk_select(p, 5)
+            self.assert_rule(RoutingDecision(p, s).gates, p, s)
+
+
 class TestRoutingDecisionInvariants:
     # Every rejection, each with its message: the checks run strict ascent
     # first and take the range from the endpoints, so each case pins which
@@ -462,9 +485,15 @@ class TestRoutingDecisionInvariants:
             ([0, 3], [0.5, 0.5], r"out of range \[0, 3\)"),
             ([5, 0], [0.5, 0.5], r"out of range \[0, 3\)"),
             ([0, 1], [1.0], "align positionally"),
+            ([0, 1], [math.nan, 0.5], "gates must be finite"),
+            ([0, 1], [math.inf, 0.5], "gates must be finite"),
+            ([0, 1], [-math.inf, 0.5], "gates must be finite"),
+            # inf + -inf would also raise numpy's invalid-value warning in the sum
+            ([0, 1], [math.inf, -math.inf], "gates must be finite"),
         ],
         ids=["2d", "empty", "duplicate", "unsorted_duplicate", "negative", "index_eq_n",
-             "unsorted_out_of_range", "misaligned_gates"],
+             "unsorted_out_of_range", "misaligned_gates", "nan_gate", "inf_gate", "-inf_gate",
+             "inf_minus_inf_gates"],
     )
     def test_rejects_bad_selection(self, selected, gates, match):
         with pytest.raises(ValueError, match=match):
@@ -492,19 +521,18 @@ class TestRoutingDecisionInvariants:
                 probs=np.array([0.5, 0.4, 0.2]), selected=np.array([0]), gates=np.array([1.0])
             )
 
-    def test_rejects_logits_length(self):
-        with pytest.raises(ValueError, match="logits length must match probs"):
-            RoutingDecision(
-                probs=self.P3, selected=np.array([0]), gates=np.array([1.0]),
-                logits=np.zeros(4),
-            )
+    @pytest.mark.parametrize("gates", [None, [1.0]], ids=["derived", "given"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_probs(self, bad, gates):
+        # A NaN sum passes any tolerance test, so finiteness is checked first.
+        with pytest.raises(ValueError, match="non-finite probability .* column 0"):
+            RoutingDecision(probs=[bad, 0.5, 0.5], selected=[1], gates=gates)
 
     def test_accepts_valid_decision(self):
         d = RoutingDecision(
             probs=self.P3, selected=np.array([0, 2]), gates=np.array([0.25, 0.75]),
-            logits=np.zeros(3),
         )
-        assert d.selected.dtype == np.int64 and d.logits.shape == (3,)
+        assert d.selected.dtype == np.int64
 
     def test_bank_random_shapes(self):
         spec = MoeLayerSpec(num_experts=5, active_k=2, num_groups=1, model_dim=3, hidden_dim=7)
