@@ -214,8 +214,9 @@ def expand_layer(
     if noise > 0 and rng is None:
         raise ValueError("rng is required when noise > 0")
 
-    new_bank = ExpertBank(bank.w_in[plan.mapping].copy(), bank.w_out[plan.mapping].copy())
-    new_router = w[plan.mapping].copy()
+    # Indexing by the mapping array already copies.
+    new_bank = ExpertBank(bank.w_in[plan.mapping], bank.w_out[plan.mapping])
+    new_router = w[plan.mapping]
     if noise > 0:
         d = w.shape[1]
         perturb = rng.normal(plan.new_count * d).reshape(plan.new_count, d)

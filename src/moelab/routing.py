@@ -146,8 +146,10 @@ class ExpertBank:
     def random(cls, rng, spec: MoeLayerSpec) -> "ExpertBank":
         """Gaussian bank with 1/sqrt(fan-in) scaling, drawn w_in then w_out."""
         n, d, h = spec.num_experts, spec.model_dim, spec.hidden_dim
-        w_in = rng.normal(n * h * d).reshape(n, h, d) / np.sqrt(d)
-        w_out = rng.normal(n * d * h).reshape(n, d, h) / np.sqrt(h)
+        w_in = rng.normal(n * h * d).reshape(n, h, d)
+        w_in /= np.sqrt(d)
+        w_out = rng.normal(n * d * h).reshape(n, d, h)
+        w_out /= np.sqrt(h)
         return cls(w_in, w_out)
 
 
@@ -160,12 +162,13 @@ class RoutingDecision:
 
     Construction rejects, in this order: a selection that is not a
     nonempty 1-D array, repeated indices, indices outside ``[0, N)``, an
-    unsorted selection, non-finite probs or probs not summing to 1 within
-    1e-12, zero probability mass on the selection (derived gates), and
-    given gates that are misaligned, non-finite or not summing to 1 within
-    1e-12. Strict ascent is tested first: it implies distinct indices and
-    puts the range at the endpoints, so a valid selection costs one
-    comparison pass.
+    unsorted selection, non-finite probs, negative probs, probs not
+    summing to 1 within 1e-12, zero probability mass on the selection
+    (derived gates), and given gates that are misaligned, non-finite,
+    negative or not summing to 1 within 1e-12. ``-0.0`` is not negative.
+    Strict ascent is tested first: it implies distinct indices and puts
+    the range at the endpoints, so a valid selection costs one comparison
+    pass.
     """
 
     probs: np.ndarray
@@ -187,6 +190,7 @@ class RoutingDecision:
         if not ascending:
             raise ValueError("selected indices must be sorted ascending")
         _finite_probs(p[None])  # before the sum: a NaN sum passes any tolerance test
+        _nonnegative_probs(p)  # before the sum: [2, -1] sums to 1
         if abs(p.sum() - 1.0) > 1e-12:
             raise ValueError("probs must sum to 1 within 1e-12")
         if self.gates is None:
@@ -197,6 +201,8 @@ class RoutingDecision:
             raise ValueError("gates must align positionally with selected")
         if not np.isfinite(g).all():
             raise ValueError(f"gates must be finite, got {g}")
+        if (g < 0.0).any():
+            raise ValueError(f"gates must be nonnegative, got {g}")
         if abs(g.sum() - 1.0) > 1e-12:
             raise ValueError("gates must sum to 1 within 1e-12")
 
@@ -260,6 +266,15 @@ def _finite_probs(probs) -> np.ndarray:
     return pm
 
 
+def _nonnegative_probs(p: np.ndarray) -> None:
+    """Raise ValueError naming the first negative entry of the vector ``p``;
+    ``-0.0`` is not negative."""
+    neg = p < 0.0
+    if neg.any():
+        i = int(np.argmax(neg))
+        raise ValueError(f"negative probability {p[i]} at index {i}")
+
+
 def topk_select_batch(probs, k: int) -> np.ndarray:
     """Per row, the k largest entries (lower index winning ties) as (T, k)
     ascending indices: block top-k with a single block. Raises ValueError
@@ -320,9 +335,11 @@ def _renormalize(p: np.ndarray, s: np.ndarray) -> np.ndarray:
 def gate_weights(p, selected) -> np.ndarray:
     """Probabilities restricted to the selected set, renormalized to sum 1.
 
-    Raises ValueError on a non-finite probability anywhere in ``p``.
+    Raises ValueError on a non-finite or negative probability anywhere in
+    ``p``.
     """
     pv = _finite_probs(as_vector(p, "p")[None])[0]
+    _nonnegative_probs(pv)
     s = np.asarray(selected, dtype=np.int64)
     if s.size < 1:
         raise ValueError("selected set must be nonempty")

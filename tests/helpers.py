@@ -1,8 +1,9 @@
 """Shared test scaffolding: exactly-linear expert banks, brute-force
-oracles and a read-counting stream."""
+oracles, a read-counting stream and a traced-memory probe."""
 
 import io
 import itertools
+import tracemalloc
 
 import numpy as np
 
@@ -61,3 +62,13 @@ class CountingStream(io.BytesIO):
         data = super().read(n)
         self.bytes_read += len(data)
         return data
+
+
+def traced_peak(fn):
+    """(result, peak bytes allocated while ``fn()`` ran), by tracemalloc."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from helpers import traced_peak
 
-from moelab.core import Rng, as_matrix, as_vector, finite_diff_grad, log_softmax, softmax
+from moelab.core import _BLOCK, Rng, as_matrix, as_vector, finite_diff_grad, log_softmax, softmax
 
 MASK64 = (1 << 64) - 1
 
@@ -14,6 +15,26 @@ def _reference_draw(seed: int, i: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
     return z ^ (z >> 31)
+
+
+def _unblocked_draws(seed: int, start: int, n: int) -> np.ndarray:
+    # Reference: the documented recipe with one full-length pass per step,
+    # no blocks.
+    idx = np.arange(start, start + n, dtype=np.uint64)
+    z = np.uint64(seed & MASK64) + (idx + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _unblocked_uniform(seed: int, start: int, n: int) -> np.ndarray:
+    return (_unblocked_draws(seed, start, n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def _unblocked_normal(seed: int, start: int, n: int) -> np.ndarray:
+    u1 = _unblocked_uniform(seed, start, n)
+    u2 = _unblocked_uniform(seed, start + n, n)
+    return np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
 
 
 class TestRng:
@@ -62,8 +83,43 @@ class TestRng:
             Rng(5).integers(3, 0)
 
     def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            Rng(0).uniform(-1)
+        for draw in (Rng(0).uniform, Rng(0).normal, lambda n: Rng(0).integers(n, 3)):
+            with pytest.raises(ValueError, match="draw count must be >= 0, got -1"):
+                draw(-1)
+
+
+class TestBlockedGeneration:
+    """Block generation against the unblocked algorithm, bit for bit, at
+    sizes around the block boundary, from a nonzero starting counter, with
+    the three methods interleaved on one generator."""
+
+    SIZES = [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]
+
+    @staticmethod
+    def assert_bitwise(got, want):
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**63 + 5])
+    def test_interleaved_calls_match_unblocked_stream(self, seed):
+        rng = Rng(seed)
+        start = 5
+        rng.uniform(start)
+        for n in self.SIZES:
+            self.assert_bitwise(rng.uniform(n), _unblocked_uniform(seed, start, n))
+            start += n
+            self.assert_bitwise(rng.normal(n), _unblocked_normal(seed, start, n))
+            start += 2 * n
+            want = np.minimum((_unblocked_uniform(seed, start, n) * 1000).astype(np.int64), 999)
+            self.assert_bitwise(rng.integers(n, 1000), want)
+            start += n
+            assert rng.counter == start
+
+    # Only a few block-sized temporaries may exist next to the output;
+    # full-length temporaries would take about 5x the output.
+    def test_normal_peak_memory_is_its_output(self):
+        out, peak = traced_peak(lambda: Rng(0).normal(1 << 20))
+        assert peak <= out.nbytes + (1 << 20)
 
 
 class TestFiniteDiff:
@@ -160,3 +216,13 @@ class TestSoftmax:
 
     def test_equal_logits_are_exactly_uniform(self):
         assert np.array_equal(softmax(np.full((2, 4), 7.0)), np.full((2, 4), 0.25))
+
+    # The shifted copy is the one full-size array and becomes the output;
+    # the input stays untouched.
+    @pytest.mark.parametrize("fn", [softmax, log_softmax])
+    def test_peak_memory_is_its_output(self, fn):
+        z = Rng(3).normal_matrix(512, 1024)
+        before = z.copy()
+        out, peak = traced_peak(lambda: fn(z))
+        assert np.array_equal(z, before)
+        assert peak <= out.nbytes + (1 << 20)

@@ -153,7 +153,10 @@ class TestExpandLayer:
     def test_noise_perturbs_router_not_experts(self):
         bank, w, rng = self._layer(8)
         plan = plan_expansion(make_stats([10, 9, 8, 7]), factor=2, num_groups=2)
+        source = (w.copy(), bank.w_in.copy(), bank.w_out.copy())
         nb, nw = expand_layer(bank, w, plan, noise=1e-3, rng=rng)
+        for grown, src, before in zip((nw, nb.w_in, nb.w_out), (w, bank.w_in, bank.w_out), source):
+            assert not np.shares_memory(grown, src) and np.array_equal(src, before)
         assert np.array_equal(nb.w_in, bank.w_in[plan.mapping])
         assert not np.array_equal(nw, w[plan.mapping])
         rel = np.linalg.norm(nw - w[plan.mapping]) / np.linalg.norm(w[plan.mapping])

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import brute_grouped, brute_topk, linear_bank
+from helpers import brute_grouped, brute_topk, linear_bank, traced_peak
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -179,6 +179,11 @@ class TestGateWeights:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             gate_weights([0.5, 0.5], [])
+
+    def test_negative_probability_rejected(self):
+        with pytest.raises(ValueError, match=r"negative probability -1.0 at index 1"):
+            gate_weights([2.0, -1.0, 0.0], [0, 1])
+        assert np.array_equal(gate_weights([0.5, 0.5, -0.0], [0, 2]), [1.0, -0.0])
 
     @pytest.mark.parametrize("selected", [[-1], [0, 2], [2, 0]])
     def test_out_of_range_rejected(self, selected):
@@ -528,6 +533,21 @@ class TestRoutingDecisionInvariants:
         with pytest.raises(ValueError, match="non-finite probability .* column 0"):
             RoutingDecision(probs=[bad, 0.5, 0.5], selected=[1], gates=gates)
 
+    # [2, -1, 0] is finite and sums to 1: only a sign check rejects it.
+    @pytest.mark.parametrize("gates", [None, [1.0, 0.0]], ids=["derived", "given"])
+    def test_rejects_negative_probs(self, gates):
+        with pytest.raises(ValueError, match=r"negative probability -1.0 at index 1"):
+            RoutingDecision([2.0, -1.0, 0.0], [0, 1], gates=gates)
+
+    def test_rejects_negative_gates(self):
+        with pytest.raises(ValueError, match="gates must be nonnegative"):
+            RoutingDecision([0.5, 0.5, 0.0], [0, 1], gates=[2.0, -1.0])
+
+    def test_negative_zero_is_not_negative(self):
+        d = RoutingDecision([-0.0, 1.0, 0.0], [0, 1])
+        assert np.array_equal(d.gates, [-0.0, 1.0])
+        RoutingDecision([0.5, 0.5, -0.0], [0, 1], gates=[1.0, -0.0])
+
     def test_accepts_valid_decision(self):
         d = RoutingDecision(
             probs=self.P3, selected=np.array([0, 2]), gates=np.array([0.25, 0.75]),
@@ -539,3 +559,10 @@ class TestRoutingDecisionInvariants:
         bank = ExpertBank.random(Rng(1), spec)
         assert bank.num_experts == 5
         assert bank.param_count == 5 * (7 * 3 + 3 * 7)
+
+    # Generation in blocks and in-place scaling leave only a few block-sized
+    # temporaries next to the bank; full-size ones would take about 3x it.
+    def test_bank_random_peak_memory_is_the_bank(self):
+        spec = MoeLayerSpec(num_experts=256, active_k=8, num_groups=8, model_dim=32, hidden_dim=64)
+        bank, peak = traced_peak(lambda: ExpertBank.random(Rng(0), spec))
+        assert peak <= bank.w_in.nbytes + bank.w_out.nbytes + (1 << 20)
