@@ -63,15 +63,18 @@ class RoutingTrace:
     indices: np.ndarray
 
     def __post_init__(self):
-        self.indices = np.asarray(self.indices, dtype=np.uint16)
-        if self.indices.ndim != 3:
+        a = np.asarray(self.indices)
+        if a.ndim != 3:
             raise TraceError("trace indices must be (tokens, layers, k)")
-        if min(self.indices.shape) < 1:
+        if min(a.shape) < 1:
             raise TraceError("trace must cover at least one token, layer, and expert")
-        if self.indices.shape[2] > 1 and not (
-            np.diff(self.indices.astype(np.int64), axis=2) > 0
-        ).all():
+        # checked before the uint16 cast, which would wrap or truncate silently
+        ok = (a >= 0) & (a < MAX_EXPERTS) if a.dtype.kind in "iu" else np.zeros(a.shape, bool)
+        if not ok.all():
+            raise TraceError(f"trace index {a[~ok][0]} is not an integer in [0, {MAX_EXPERTS})")
+        if a.shape[2] > 1 and not (np.diff(a.astype(np.int64), axis=2) > 0).all():
             raise TraceError("trace entries must hold distinct ascending indices")
+        self.indices = a.astype(np.uint16, copy=False)
 
     @property
     def num_tokens(self) -> int:
@@ -185,8 +188,8 @@ def replay_verify(
     replay_path=None,
 ) -> dict[str, int]:
     """Record a seeded batch's trace (saved to ``record_path`` if given),
-    move each router by up to ``perturb`` times its Frobenius norm, and
-    count forced replays of the trace (or of the one at ``replay_path``)
+    move each router by up to ``perturb`` times its Frobenius norm, and count
+    forced replays of its codec round trip (or of the trace at ``replay_path``)
     whose selection differs from the recorded one, as one CSV row."""
     if not 0.0 <= perturb < np.inf:
         raise ValueError(f"perturb must be finite and >= 0, got {perturb}")
@@ -196,7 +199,8 @@ def replay_verify(
     recorded = record_trace(batch, layers, mode)
     if record_path:
         save_trace(record_path, recorded)
-    trace = load_trace(replay_path) if replay_path else recorded
+    trace = (load_trace(replay_path) if replay_path
+             else deserialize_trace(serialize_trace(recorded)))
 
     mismatches = 0
     # router_probs rejects the non-finite logits of a perturbation near the

@@ -29,8 +29,12 @@ Elsewhere it is handled: in ``logp_train`` the ratio rho is 0 and the token
 is masked; in ``logp_rollout`` or ``logp_old`` a ratio is infinite, which
 :func:`rl_loss` rejects.
 
-Batches serialize as line-delimited text records for CLI round-trips; see
-:func:`dump_batch` for the field order.
+A group is stored in one token layout: ``RolloutBatch.logp`` is a
+``(4, total_tokens)`` array (rows train, rollout, new, old) and response i
+is the column range ``offsets[i]:offsets[i + 1]``, so validation, ratios,
+mask and coefficients each run once over all tokens. ``ToyPolicy`` stacks
+its logits the same way. Batches serialize as line-delimited text records
+for CLI round-trips; see :func:`dump_batch` for the field order.
 """
 
 from __future__ import annotations
@@ -43,21 +47,9 @@ import numpy as np
 from moelab.core import Rng, as_vector, finite_diff_grad, log_softmax, softmax
 
 __all__ = [
-    "MaskConfig",
-    "RolloutBatch",
-    "RlLossResult",
-    "ToyPolicy",
-    "EngineKl",
-    "loo_advantage",
-    "mask_ratio",
-    "rl_loss",
-    "batch_from_policy",
-    "rl_loss_grad",
-    "engine_kl",
-    "dump_batch",
-    "load_batch",
-    "evaluate_batch",
-    "gradcheck_rl",
+    "MaskConfig", "RolloutBatch", "RlLossResult", "ToyPolicy", "EngineKl", "loo_advantage",
+    "mask_ratio", "rl_loss", "batch_from_policy", "rl_loss_grad", "engine_kl", "dump_batch",
+    "load_batch", "evaluate_batch", "gradcheck_rl",
 ]
 
 
@@ -76,34 +68,34 @@ class MaskConfig:
             raise ValueError(f"need 0 < alpha < beta, got ({self.alpha}, {self.beta})")
 
 
-def _logp_list(arrays, name: str) -> list[np.ndarray]:
-    """Validated log-prob vectors: nonempty, with no positive value and no NaN."""
-    out = []
-    for i, a in enumerate(arrays):
-        v = as_vector(a, f"{name}[{i}]")
-        if v.size < 1:
-            raise ValueError(f"{name}[{i}] must contain at least one token")
-        if not (v <= 0.0).all():  # one pass: fails on a positive value or a NaN
-            positive = np.flatnonzero(v > 0.0)
-            if positive.size:
-                raise ValueError(
-                    f"{name}[{i}] contains a positive log-probability at token {positive[0]}"
-                )
-            t = np.flatnonzero(np.isnan(v))[0]
-            raise ValueError(f"{name}[{i}] has a NaN log-probability at token {t}")
-        out.append(v)
-    return out
+_SNAPSHOTS = ("logp_train", "logp_rollout", "logp_new", "logp_old")
+
+
+def _views(flat: np.ndarray, offsets: np.ndarray) -> list[np.ndarray]:
+    """Per-response views ``flat[offsets[i]:offsets[i + 1]]`` (first axis)."""
+    return [flat[a:b] for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist())]
+
+
+def _locate(offsets: np.ndarray, j) -> tuple[int, int]:
+    """The (response, token) position of flat token ``j``."""
+    i = int(np.searchsorted(offsets, j, side="right")) - 1
+    return i, int(j - offsets[i])
 
 
 @dataclass
 class RolloutBatch:
-    """Per-token log-probs under four policy snapshots plus sequence rewards."""
+    """Per-token log-probs under four policy snapshots plus sequence rewards.
+
+    The four lists are copied into the rows of ``logp``; each field becomes a
+    list of views of its row, so an in-place edit through a field reaches it."""
 
     logp_train: list[np.ndarray]
     logp_rollout: list[np.ndarray]
     logp_new: list[np.ndarray]
     logp_old: list[np.ndarray]
     rewards: np.ndarray
+    logp: np.ndarray = field(init=False, repr=False)
+    offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.rewards = as_vector(self.rewards, "rewards")
@@ -113,25 +105,36 @@ class RolloutBatch:
         g = self.rewards.size
         if g < 2:
             raise ValueError("a rollout group needs at least 2 responses")
-        snapshots = {
-            "logp_train": self.logp_train,
-            "logp_rollout": self.logp_rollout,
-            "logp_new": self.logp_new,
-            "logp_old": self.logp_old,
-        }
-        for name, arrays in snapshots.items():
+        vectors = []
+        for name in _SNAPSHOTS:
+            arrays = getattr(self, name)
             if len(arrays) != g:
                 raise ValueError(f"{name} must hold one array per response")
-            setattr(self, name, _logp_list(arrays, name))
+            vectors.append([as_vector(a, f"{name}[{i}]") for i, a in enumerate(arrays)])
+        lens = np.array([[v.size for v in row] for row in vectors])
+        if not lens.all():
+            r, i = np.argwhere(lens == 0)[0]
+            raise ValueError(f"{_SNAPSHOTS[r]}[{i}] must contain at least one token")
+        differ = np.flatnonzero((lens != lens[0]).any(axis=0))
+        if differ.size:
+            raise ValueError(f"snapshot token counts disagree for response {differ[0]}")
+        self.offsets = np.concatenate(([0], np.cumsum(lens[0])))
+        self.logp = np.concatenate([v for row in vectors for v in row]).reshape(4, -1)
+        if not (self.logp <= 0.0).all():  # one pass: fails on a positive value or a NaN
+            r, j = np.argwhere(~(self.logp <= 0.0))[0]
+            (i, t), name = _locate(self.offsets, j), _SNAPSHOTS[r]
+            positive = np.flatnonzero(self.logp[r, self.offsets[i]:self.offsets[i + 1]] > 0.0)
+            if positive.size:  # within a response, a positive value is named first
+                raise ValueError(
+                    f"{name}[{i}] contains a positive log-probability at token {positive[0]}"
+                )
+            raise ValueError(f"{name}[{i}] has a NaN log-probability at token {t}")
         # -inf in logp_new would enter the loss as 0 * -inf (see module doc).
-        for i, v in enumerate(self.logp_new):
-            if not (v > -np.inf).all():
-                t = np.flatnonzero(v == -np.inf)[0]
-                raise ValueError(f"logp_new[{i}] has a -inf log-probability at token {t}")
-        for i in range(g):
-            lens = {len(s[i]) for s in snapshots.values()}
-            if len(lens) != 1:
-                raise ValueError(f"snapshot token counts disagree for response {i}")
+        if not (self.logp[2] > -np.inf).all():
+            i, t = _locate(self.offsets, np.flatnonzero(self.logp[2] == -np.inf)[0])
+            raise ValueError(f"logp_new[{i}] has a -inf log-probability at token {t}")
+        for name, row in zip(_SNAPSHOTS, self.logp):
+            setattr(self, name, _views(row, self.offsets))
 
     @property
     def group_size(self) -> int:
@@ -185,66 +188,78 @@ def rl_loss(batch: RolloutBatch, cfg: MaskConfig = MaskConfig()) -> RlLossResult
     ``c_it = M(rho_it) * r_it * A_i``; by the stop-gradient contract the
     coefficient is a constant with respect to the differentiated policy.
     """
-    g = batch.group_size
-    coefs: list[np.ndarray] = []
+    g, o = batch.group_size, batch.offsets
+    train, rollout, new, old = batch.logp
     total = 0.0
     # the inf or nan of an overflow is rejected below, naming the response
     with np.errstate(over="ignore", invalid="ignore"):
         adv = loo_advantage(batch.rewards)
-        for i in range(g):
-            rho = np.exp(batch.logp_train[i] - batch.logp_rollout[i])
-            ratio = np.exp(batch.logp_new[i] - batch.logp_old[i])
-            for name, arr in (("train/rollout", rho), ("new/old", ratio)):
-                if not np.isfinite(arr).all():
-                    t = np.flatnonzero(~np.isfinite(arr))[0]
-                    raise ValueError(f"non-finite {name} importance ratio at response {i}, token {t}")
-            c = _masked(rho, cfg) * ratio * adv[i]
-            coefs.append(c)
-            total += float((c * batch.logp_new[i]).sum()) / batch.response_length(i)
+        rho = np.exp(train - rollout)
+        ratio = np.exp(new - old)
+        for name, arr in (("train/rollout", rho), ("new/old", ratio)):
+            if not np.isfinite(arr).all():
+                i, t = _locate(o, np.flatnonzero(~np.isfinite(arr))[0])
+                raise ValueError(f"non-finite {name} importance ratio at response {i}, token {t}")
+        coef = _masked(rho, cfg) * ratio * np.repeat(adv, np.diff(o))
+        terms = coef * new
+        for i, term in enumerate(_views(terms, o)):  # per-response sums keep their rounding
+            total += float(term.sum()) / term.size
             if not np.isfinite(total):  # also catches a non-finite advantage or coefficient
                 raise ValueError(f"loss is not finite at response {i} (advantage {adv[i]})")
-    return RlLossResult(loss=-total / g + 0.0, per_token_coef=coefs)
+    return RlLossResult(loss=-total / g + 0.0, per_token_coef=_views(coef, o))
 
 
 @dataclass
 class ToyPolicy:
-    """Per-token categorical policy over a small vocabulary.
+    """Per-token categorical policy over one vocabulary of size V.
 
     ``logits[i]`` has shape (len_i, V): an independent logit row per token
     position, so gradients localize per position. ``tokens[i]`` gives the
-    realized token ids.
+    realized token ids. All responses share V, so both fields become views
+    of ``flat_logits`` (total_tokens, V) and ``flat_tokens`` at ``offsets``.
     """
 
     logits: list[np.ndarray]
     tokens: list[np.ndarray]
+    flat_logits: np.ndarray = field(init=False, repr=False)
+    flat_tokens: np.ndarray = field(init=False, repr=False)
+    offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.logits) != len(self.tokens):
             raise ValueError("logits and tokens must align per response")
-        self.logits = [np.asarray(l, dtype=np.float64) for l in self.logits]
-        self.tokens = [np.asarray(t, dtype=np.int64) for t in self.tokens]
-        for i, (l, t) in enumerate(zip(self.logits, self.tokens)):
+        if not self.logits:
+            raise ValueError("a policy needs at least one response")
+        logits = [np.asarray(l, dtype=np.float64) for l in self.logits]
+        tokens = [np.asarray(t, dtype=np.int64) for t in self.tokens]
+        for i, (l, t) in enumerate(zip(logits, tokens)):
             if l.ndim != 2 or t.ndim != 1 or l.shape[0] != t.size:
                 raise ValueError(f"response {i}: logits must be (len, V) with aligned tokens")
-            if np.any(t < 0) or np.any(t >= l.shape[1]):
-                raise ValueError(f"response {i}: token id out of vocabulary")
+            if l.shape[1] != logits[0].shape[1]:
+                raise ValueError(f"response {i}: vocabulary size {l.shape[1]} differs from "
+                                 f"response 0's {logits[0].shape[1]}")
+        self.offsets = np.concatenate(([0], np.cumsum([t.size for t in tokens])))
+        self.flat_logits = np.concatenate(logits)
+        self.flat_tokens = np.concatenate(tokens)
+        outside = (self.flat_tokens < 0) | (self.flat_tokens >= self.flat_logits.shape[1])
+        if outside.any():
+            i, _ = _locate(self.offsets, np.flatnonzero(outside)[0])
+            raise ValueError(f"response {i}: token id out of vocabulary")
+        self.logits = _views(self.flat_logits, self.offsets)
+        self.tokens = _views(self.flat_tokens, self.offsets)
 
     def log_probs(self) -> list[np.ndarray]:
-        """log softmax(logits)[t, tokens[t]] per response."""
-        return [log_softmax(l)[np.arange(t.size), t] for l, t in zip(self.logits, self.tokens)]
+        """log softmax(logits)[t, tokens[t]] per response: views of one array."""
+        lp = log_softmax(self.flat_logits)[np.arange(self.flat_tokens.size), self.flat_tokens]
+        return _views(lp, self.offsets)
 
 
 def batch_from_policy(
     policy: ToyPolicy, logp_train, logp_rollout, logp_old, rewards
 ) -> RolloutBatch:
     """Assemble a rollout batch whose new-snapshot log-probs come from the policy."""
-    return RolloutBatch(
-        logp_train=list(logp_train),
-        logp_rollout=list(logp_rollout),
-        logp_new=policy.log_probs(),
-        logp_old=list(logp_old),
-        rewards=rewards,
-    )
+    return RolloutBatch(list(logp_train), list(logp_rollout), policy.log_probs(),
+                        list(logp_old), rewards)
 
 
 def rl_loss_grad(
@@ -260,21 +275,17 @@ def rl_loss_grad(
     The batch's new-snapshot log-probs must have been produced by this
     policy (see :func:`batch_from_policy`).
     """
-    own = policy.log_probs()
-    if len(own) != batch.group_size:
+    if len(policy.tokens) != batch.group_size:
         raise ValueError("policy and batch disagree on group size")
-    for i, lp in enumerate(own):
-        if lp.size != batch.response_length(i) or np.abs(lp - batch.logp_new[i]).max() > 1e-12:
-            raise ValueError("batch new-snapshot log-probs do not come from this policy")
-    result = rl_loss(batch, cfg)
-    g = batch.group_size
-    grads = []
-    for i, (logits, toks) in enumerate(zip(policy.logits, policy.tokens)):
-        direction = -softmax(logits)
-        direction[np.arange(toks.size), toks] += 1.0
-        scale = -result.per_token_coef[i] / (g * toks.size)
-        grads.append(scale[:, None] * direction)
-    return grads
+    own, new = np.concatenate(policy.log_probs()), batch.logp[2]
+    if not np.array_equal(policy.offsets, batch.offsets) or np.abs(own - new).max() > 1e-12:
+        raise ValueError("batch new-snapshot log-probs do not come from this policy")
+    coef = np.concatenate(rl_loss(batch, cfg).per_token_coef)
+    lengths = np.diff(policy.offsets)
+    direction = -softmax(policy.flat_logits)
+    direction[np.arange(coef.size), policy.flat_tokens] += 1.0
+    scale = -coef / np.repeat(batch.group_size * lengths, lengths)
+    return _views(scale[:, None] * direction, policy.offsets)
 
 
 @dataclass
@@ -311,10 +322,10 @@ def dump_batch(batch: RolloutBatch, fp: IO[str]) -> None:
     """Write one response per line: reward, token count, then the four
     log-prob blocks in order train, rollout, new, old (space-separated,
     shortest round-trip float formatting)."""
+    o = batch.offsets.tolist()
     for i in range(batch.group_size):
-        fields = [repr(float(batch.rewards[i])), str(batch.response_length(i))]
-        for block in (batch.logp_train, batch.logp_rollout, batch.logp_new, batch.logp_old):
-            fields.extend(map(repr, block[i].tolist()))
+        fields = [repr(float(batch.rewards[i])), str(o[i + 1] - o[i])]
+        fields.extend(map(repr, batch.logp[:, o[i]:o[i + 1]].ravel().tolist()))
         fp.write(" ".join(fields) + "\n")
 
 
@@ -335,19 +346,13 @@ def load_batch(fp: IO[str]) -> RolloutBatch:
         vals = np.fromiter(map(float, parts[2:]), np.float64, 4 * length)
         for b, chunk in zip(blocks, vals.reshape(4, length)):
             b.append(chunk)
-    return RolloutBatch(
-        logp_train=blocks[0],
-        logp_rollout=blocks[1],
-        logp_new=blocks[2],
-        logp_old=blocks[3],
-        rewards=np.array(rewards),
-    )
+    return RolloutBatch(*blocks, rewards=np.array(rewards))
 
 
 def evaluate_batch(batch: RolloutBatch, cfg: MaskConfig) -> dict[str, object]:
     """The loss of one rollout group as a CSV row: loss, group size, tokens."""
     return {"loss": rl_loss(batch, cfg).loss, "group_size": batch.group_size,
-            "tokens": sum(v.size for v in batch.logp_new)}
+            "tokens": int(batch.offsets[-1])}
 
 
 def gradcheck_rl(

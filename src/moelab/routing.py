@@ -139,9 +139,6 @@ class ExpertBank:
     def param_count(self) -> int:
         return self.w_in.size + self.w_out.size
 
-    def expert_output(self, i: int, x: np.ndarray) -> np.ndarray:
-        return self.w_out[i] @ np.maximum(self.w_in[i] @ x, 0.0)
-
     @classmethod
     def random(cls, rng, spec: MoeLayerSpec) -> "ExpertBank":
         """Gaussian bank with 1/sqrt(fan-in) scaling, drawn w_in then w_out."""

@@ -30,13 +30,6 @@ class PatchPlan:
         if self.patch_size < 1 or self.stride < 1 or self.n_frames < 1:
             raise ValueError("patch_size, stride, and n_frames must be positive")
 
-    def covers(self, length: int) -> bool:
-        """True when the frames tile [0, length) without gaps."""
-        if self.stride > self.patch_size:
-            return False
-        last_start = (self.n_frames - 1) * self.stride
-        return last_start < length <= last_start + self.patch_size
-
 
 def plan_patches(length: int, rate: float, f_min: int = 1, f_max: int = 4096) -> PatchPlan:
     """Choose a patch size whose frame count lands in [1, f_max].

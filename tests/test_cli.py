@@ -373,3 +373,21 @@ class TestUsageAndConfig:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("warp_factor = 9\n")
         assert run(["balance-sim", "--config", str(cfg)]) == 1
+
+
+class TestOneLineRejections:
+    def test_mask_bounds_out_of_order_is_module_error(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert run(["gradcheck-rl", "--alpha", "2", "--beta", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "moelab gradcheck-rl: need 0 < alpha < beta, got (2.0, 1.0)\n"
+        )
+        assert not out.exists()
+
+    def test_config_line_without_equals_is_module_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed 3\n")
+        out = tmp_path / "o.csv"
+        assert run(["balance-sim", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"moelab balance-sim: {cfg}:1: expected 'key = value'\n"
+        assert not out.exists()

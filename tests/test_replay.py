@@ -6,6 +6,7 @@ import pytest
 
 from helpers import CountingStream
 from moelab import replay
+from moelab.cli import run
 from moelab.core import Rng
 from moelab.replay import (
     RoutingTrace,
@@ -231,3 +232,54 @@ class TestLoadTraceBounded:
         stream = self.load_from(monkeypatch, blob)
         assert np.array_equal(load_trace("ok.bin").indices, trace.indices)
         assert stream.bytes_read == len(blob)
+
+
+class TestTraceIndexRange:
+    """Indices the u16 trace cannot hold are rejected, not wrapped or truncated."""
+
+    @pytest.mark.parametrize("indices,bad", [
+        ([[[-1]]], "-1"),
+        ([[[3, 70000]]], "70000"),
+        ([[[1.7, 2.2]]], "1.7"),
+    ])
+    def test_unrepresentable_index_is_named(self, indices, bad):
+        with pytest.raises(TraceError, match=rf"trace index {bad} is not an integer in \[0, 65536\)"):
+            RoutingTrace(indices=np.array(indices))
+
+    def test_largest_index_is_kept(self):
+        trace = RoutingTrace(indices=np.array([[[0, 65535]]]))
+        assert trace.indices.dtype == np.uint16
+        assert trace.entry(0, 0).tolist() == [0, 65535]
+
+
+class TestReplayVerifyRoundTrip:
+    """Without --replay-trace the replayed trace is the recorded one after a
+    codec round trip, so a codec that changes one index is one mismatch."""
+
+    ARGS = dict(mode="plain_topk", num_tokens=6, num_layers=2, perturb=0.0, seed=3)
+
+    @staticmethod
+    def corrupt_codec(monkeypatch):
+        real = replay.deserialize_trace
+
+        def deserialize_one_off(blob):
+            indices = real(blob).indices.astype(np.int64)
+            indices[4, 1, 0] = (indices[4, 1, 0] + 1) % 8  # k = 1 of 8 experts
+            return RoutingTrace(indices=indices)
+
+        monkeypatch.setattr(replay, "deserialize_trace", deserialize_one_off)
+
+    def test_corrupted_round_trip_is_one_mismatch(self, monkeypatch):
+        spec = MoeLayerSpec(num_experts=8, active_k=1, num_groups=1, model_dim=4, hidden_dim=8)
+        assert replay.replay_verify(spec, **self.ARGS)["mismatches"] == 0
+        self.corrupt_codec(monkeypatch)
+        assert replay.replay_verify(spec, **self.ARGS)["mismatches"] == 1
+
+    def test_corrupted_round_trip_fails_the_cli(self, monkeypatch, tmp_path, capsys):
+        argv = ["replay-verify", "--mode", "plain_topk", "--tokens", "6", "--layers", "2",
+                "--experts", "8", "--k", "1", "--groups", "1", "--dim", "4", "--perturb", "0",
+                "--seed", "3", "--out", str(tmp_path / "o.csv")]
+        assert run(argv) == 0
+        self.corrupt_codec(monkeypatch)
+        assert run(argv) == 1
+        assert capsys.readouterr().err == "replay-verify: 1 of 12 selections diverged\n"

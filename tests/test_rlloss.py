@@ -508,3 +508,187 @@ class TestSerialization:
     def test_field_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="line 1"):
             load_batch(io.StringIO("1.0 3 -0.5 -0.5\n"))
+
+
+# Lengths on both sides of numpy's pairwise-summation block edges (8, 128).
+EDGE_LENGTHS = (1, 7, 8, 9, 127, 128, 129, 300)
+
+
+def per_response_reference(logits, tokens, train, rollout, old, rewards, cfg):
+    """The per-response algorithm of the list layout, restated operation for
+    operation with plain numpy: log-probs, loss, coefficients and gradient.
+    Same operations in the same order give the same bits."""
+    g = rewards.size
+    new = []
+    for l, t in zip(logits, tokens):
+        m = l.max(axis=-1, keepdims=True)
+        new.append((l - (m + np.log(np.exp(l - m).sum(axis=-1, keepdims=True))))[np.arange(t.size), t])
+    adv = rewards - (rewards.sum() - rewards) / (g - 1)
+    coefs, grads, total = [], [], 0.0
+    for i in range(g):
+        rho = np.exp(train[i] - rollout[i])
+        ratio = np.exp(new[i] - old[i])
+        c = np.where((cfg.alpha < rho) & (rho < cfg.beta), rho, 0.0) * ratio * adv[i]
+        coefs.append(c)
+        total += float((c * new[i]).sum()) / new[i].size
+        p = logits[i] - logits[i].max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        direction = -p
+        direction[np.arange(tokens[i].size), tokens[i]] += 1.0
+        grads.append((-c / (g * tokens[i].size))[:, None] * direction)
+    return new, -total / g + 0.0, coefs, grads
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestFlatLayoutBitwise:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_per_response_reference(self, seed):
+        rng = Rng(900 + seed)
+        vocab = 6
+        if seed == 0:
+            lens = list(EDGE_LENGTHS)
+        else:
+            g = 2 + int(rng.uniform(1)[0] * 7)
+            lens = [EDGE_LENGTHS[int(u * len(EDGE_LENGTHS))] for u in rng.uniform(g)]
+        logits = [rng.normal(l * vocab).reshape(l, vocab) for l in lens]
+        tokens = [(rng.uniform(l) * vocab).astype(np.int64) for l in lens]
+        rollout = [neg_logps(rng, l) for l in lens]
+        train = [np.minimum(r + rng.normal(r.size) * 0.4, 0.0) for r in rollout]
+        old = [neg_logps(rng, l) for l in lens]
+        rewards = rng.normal(len(lens))
+        new, loss, coefs, grads = per_response_reference(
+            logits, tokens, train, rollout, old, rewards, CFG)
+
+        policy = ToyPolicy(logits=[l.copy() for l in logits], tokens=[t.copy() for t in tokens])
+        batch = batch_from_policy(policy, train, rollout, old, rewards)
+        assert all(same_bits(a, b) for a, b in zip(policy.log_probs(), new))
+        result = rl_loss(batch, CFG)
+        assert float(result.loss).hex() == float(loss).hex()
+        assert len(result.per_token_coef) == len(lens)
+        assert all(same_bits(a, b) for a, b in zip(result.per_token_coef, coefs))
+        got = rl_loss_grad(policy, batch, CFG)
+        assert len(got) == len(lens)
+        assert all(same_bits(a, b) for a, b in zip(got, grads))
+
+    def test_view_sum_at_unaligned_offset_equals_copy_sum(self):
+        rng = Rng(950)
+        for n in EDGE_LENGTHS + (15, 16, 17, 255, 256, 257, 1000):
+            x = rng.normal(n + 16)
+            for offset in range(17):
+                view = x[offset:offset + n]
+                assert view.sum().tobytes() == view.copy().sum().tobytes()
+
+
+class TestFlatLayout:
+    def test_snapshot_fields_are_views_of_logp(self):
+        batch = random_batch(Rng(951), group=3)
+        lens = [batch.response_length(i) for i in range(3)]
+        o = np.concatenate(([0], np.cumsum(lens)))
+        assert batch.offsets.tolist() == o.tolist()
+        assert batch.logp.shape == (4, sum(lens))
+        names = ("logp_train", "logp_rollout", "logp_new", "logp_old")
+        for r, name in enumerate(names):
+            for i, v in enumerate(getattr(batch, name)):
+                assert np.shares_memory(v, batch.logp)
+                assert same_bits(v, batch.logp[r, o[i]:o[i + 1]])
+        batch.logp_old[2][1] = -9.0
+        assert batch.logp[3, o[2] + 1] == -9.0
+
+    def test_coefficients_are_views_of_one_array(self):
+        coefs = rl_loss(random_batch(Rng(952), group=4), CFG).per_token_coef
+        assert coefs[0].base is not None
+        assert all(c.base is coefs[0].base for c in coefs)
+
+    def test_policy_stacks_logits_and_tokens(self):
+        rng = Rng(953)
+        policy = ToyPolicy(logits=[rng.normal(10).reshape(2, 5), np.zeros((0, 5)),
+                                   rng.normal(15).reshape(3, 5)],
+                           tokens=[[0, 4], [], [1, 2, 3]])
+        assert policy.offsets.tolist() == [0, 2, 2, 5]
+        assert policy.flat_logits.shape == (5, 5)
+        assert policy.flat_tokens.tolist() == [0, 4, 1, 2, 3]
+        assert [l.shape for l in policy.logits] == [(2, 5), (0, 5), (3, 5)]
+        assert all(l.base is policy.flat_logits for l in policy.logits)
+        assert [lp.size for lp in policy.log_probs()] == [2, 0, 3]
+
+
+def _lists(*lens):
+    return [np.full(l, -0.5) for l in lens]
+
+
+class TestRejectionMessages:
+    """Each check matched by its message, so no later check can stand in for it."""
+
+    @pytest.mark.parametrize("alpha,beta", [(2.0, 1.0), (0.0, 1.0), (1.0, 1.0)])
+    def test_mask_bounds_out_of_order(self, alpha, beta):
+        with pytest.raises(ValueError, match=r"need 0 < alpha < beta"):
+            MaskConfig(alpha=alpha, beta=beta)
+
+    @pytest.mark.parametrize("name", ["logp_train", "logp_rollout", "logp_new", "logp_old"])
+    def test_snapshot_must_hold_one_array_per_response(self, name):
+        blocks = {n: _lists(1, 2) for n in ("logp_train", "logp_rollout", "logp_new", "logp_old")}
+        blocks[name] = _lists(1, 2, 3)
+        with pytest.raises(ValueError, match=rf"{name} must hold one array per response"):
+            RolloutBatch(rewards=np.array([1.0, 0.0]), **blocks)
+
+    def test_empty_response_rejected(self):
+        with pytest.raises(ValueError, match=r"logp_rollout\[1\] must contain at least one token"):
+            RolloutBatch(_lists(1, 2), _lists(1, 0), _lists(1, 2), _lists(1, 2),
+                         rewards=np.array([1.0, 0.0]))
+
+    def test_snapshot_token_counts_disagree(self):
+        with pytest.raises(ValueError, match=r"snapshot token counts disagree for response 1"):
+            RolloutBatch(_lists(1, 2, 2), _lists(1, 3, 2), _lists(1, 2, 2), _lists(1, 2, 2),
+                         rewards=np.array([1.0, 0.0, 0.5]))
+
+    def test_policy_lists_must_align(self):
+        with pytest.raises(ValueError, match="logits and tokens must align per response"):
+            ToyPolicy(logits=[np.zeros((1, 3))], tokens=[[0], [1]])
+
+    def test_policy_needs_a_response(self):
+        with pytest.raises(ValueError, match="a policy needs at least one response"):
+            ToyPolicy(logits=[], tokens=[])
+
+    @pytest.mark.parametrize("logits,tokens", [
+        ([np.zeros((1, 3)), np.zeros((2, 3))], [[0], [0]]),  # token count differs
+        ([np.zeros((1, 3)), np.zeros(3)], [[0], [0]]),  # logits not 2-D
+        ([np.zeros((1, 3)), np.zeros((1, 3))], [[0], [[0]]]),  # tokens not 1-D
+    ])
+    def test_policy_shapes_must_align(self, logits, tokens):
+        with pytest.raises(ValueError, match=r"response 1: logits must be \(len, V\) with aligned tokens"):
+            ToyPolicy(logits=logits, tokens=tokens)
+
+    def test_policy_shares_one_vocabulary(self):
+        with pytest.raises(ValueError, match=r"response 2: vocabulary size 4 differs from response 0's 5"):
+            ToyPolicy(logits=[np.zeros((1, 5)), np.zeros((2, 5)), np.zeros((1, 4))],
+                      tokens=[[0], [0, 1], [0]])
+
+    @pytest.mark.parametrize("bad", [-1, 5])
+    def test_policy_token_out_of_vocabulary(self, bad):
+        with pytest.raises(ValueError, match=r"response 2: token id out of vocabulary"):
+            ToyPolicy(logits=[np.zeros((1, 5)), np.zeros((0, 5)), np.zeros((2, 5))],
+                      tokens=[[4], [], [0, bad]])
+
+    def test_grad_group_sizes_must_agree(self):
+        policy, batch = make_policy_instance(Rng(954), group=2)
+        wider = ToyPolicy(logits=[*policy.logits, policy.logits[0]],
+                          tokens=[*policy.tokens, policy.tokens[0]])
+        with pytest.raises(ValueError, match="policy and batch disagree on group size"):
+            rl_loss_grad(wider, batch, CFG)
+
+    def test_grad_response_lengths_must_agree(self):
+        policy, batch = make_policy_instance(Rng(955), group=2, max_len=4)
+        longer = ToyPolicy(logits=[np.vstack([l, l]) for l in policy.logits],
+                           tokens=[np.concatenate([t, t]) for t in policy.tokens])
+        with pytest.raises(ValueError, match="do not come from this policy"):
+            rl_loss_grad(longer, batch, CFG)
+
+    def test_engine_kl_streams_must_align(self):
+        # a 1-token stream would broadcast against 3 tokens without the check
+        with pytest.raises(ValueError, match="token streams must align"):
+            engine_kl(np.array([-1.0]), np.array([-1.0, -2.0, -3.0]))

@@ -223,8 +223,8 @@ class TestMoeForward:
 
     @pytest.mark.parametrize("n, k", [(4, 1), (4, 4), (256, 1), (256, 8)])
     def test_matches_per_expert_sum_bitwise(self, n, k):
-        # Longhand mixture: one expert_output call per selected expert, summed
-        # in selection order (k is capped at N).
+        # Longhand mixture: one FFN w_out @ relu(w_in @ x) per selected
+        # expert, summed in selection order (k is capped at N).
         rng = Rng(1000 + n + k)
         spec = MoeLayerSpec(num_experts=n, active_k=k, num_groups=1, model_dim=8, hidden_dim=16)
         bank = ExpertBank.random(rng, spec)
@@ -234,7 +234,7 @@ class TestMoeForward:
             decision = route_token(x, w, spec)
             want = np.zeros(8)
             for gate, i in zip(decision.gates, decision.selected):
-                want += gate * bank.expert_output(int(i), x)
+                want += gate * (bank.w_out[i] @ np.maximum(bank.w_in[i] @ x, 0.0))
             got = moe_forward(x, bank, decision)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 

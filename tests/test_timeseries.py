@@ -57,7 +57,10 @@ class TestPlanPatches:
     def test_tiling_covers_signal(self):
         for length in log_lengths(1, 1_000_000, count=200):
             plan = plan_patches(int(length), rate=100.0, f_max=4096)
-            assert plan.covers(int(length))
+            # the frames tile [0, length) without gaps
+            last_start = (plan.n_frames - 1) * plan.stride
+            assert plan.stride <= plan.patch_size
+            assert last_start < length <= last_start + plan.patch_size
             # padded-length frame formula agrees with the count
             padded = plan.n_frames * plan.patch_size
             assert (padded - plan.patch_size) // plan.stride + 1 == plan.n_frames
