@@ -170,6 +170,11 @@ class Rng:
         return out
 
     def normal_matrix(self, rows: int, cols: int) -> np.ndarray:
+        """A (rows, cols) matrix of ``normal(rows * cols)``, row-major.
+
+        A negative dimension is rejected before any counter is reserved."""
+        if rows < 0 or cols < 0:
+            raise ValueError(f"matrix shape must be nonnegative, got {(rows, cols)}")
         return self.normal(rows * cols).reshape(rows, cols)
 
     def integers(self, n: int, bound: int) -> np.ndarray:

@@ -56,23 +56,18 @@ class CheckpointError(ValueError):
 
 @dataclass
 class ActivationStats:
-    """Per-expert tallies of first- and second-ranked selections."""
+    """Per-expert tallies of first- and second-ranked selections.
+
+    :func:`activation_stats` validates its batch and builds aligned 1-D
+    tallies; the record itself checks nothing.
+    """
 
     rank1: np.ndarray
     rank2: np.ndarray
-    total_tokens: int
 
     def __post_init__(self):
         self.rank1 = np.asarray(self.rank1, dtype=np.int64)
         self.rank2 = np.asarray(self.rank2, dtype=np.int64)
-        if self.rank1.shape != self.rank2.shape or self.rank1.ndim != 1:
-            raise ValueError("rank tallies must be aligned 1-D arrays")
-        if self.total_tokens < 1:
-            raise ValueError("stats require at least one observed token")
-        if self.rank1.sum() != self.total_tokens:
-            raise ValueError("rank-1 tallies must sum to the token count")
-        if np.any(self.rank1 > self.total_tokens) or np.any(self.rank2 > self.total_tokens):
-            raise ValueError("tallies cannot exceed the token count")
 
     @property
     def num_experts(self) -> int:
@@ -100,7 +95,7 @@ def activation_stats(batch, w_router, k: int) -> ActivationStats:
         rank2 = np.bincount(order[:, 1], minlength=n)
     else:
         rank2 = np.zeros(n, dtype=np.int64)
-    return ActivationStats(rank1=rank1, rank2=rank2, total_tokens=b.shape[0])
+    return ActivationStats(rank1=rank1, rank2=rank2)
 
 
 def frequency_ranking(stats: ActivationStats) -> np.ndarray:
@@ -117,9 +112,10 @@ class ExpansionPlan:
 
     New expert e' lands in destination group ``e' // (len(mapping) // num_groups)``;
     slots within a group are stored in ascending source-index order.
+    :func:`plan_expansion` validates the factor and the group count; the
+    record itself checks nothing.
     """
 
-    factor: int
     num_groups: int
     strategy: ExpansionStrategy
     mapping: np.ndarray
@@ -127,14 +123,6 @@ class ExpansionPlan:
 
     def __post_init__(self):
         self.mapping = np.asarray(self.mapping, dtype=np.int64)
-        if self.factor < 1:
-            raise ValueError("expansion factor must be >= 1")
-        if self.mapping.size != self.factor * self.num_source:
-            raise ValueError("mapping length must equal factor * source experts")
-        if self.mapping.size % self.num_groups != 0:
-            raise ValueError("num_groups must divide the expanded expert count")
-        if np.any(self.mapping < 0) or np.any(self.mapping >= self.num_source):
-            raise ValueError("mapping entries must reference source experts")
 
     @property
     def new_count(self) -> int:
@@ -184,13 +172,7 @@ def plan_expansion(
         raise ValueError(f"unknown expansion strategy {strategy!r}")
 
     mapping = np.array([i for grp in groups for i in grp], dtype=np.int64)
-    return ExpansionPlan(
-        factor=factor,
-        num_groups=num_groups,
-        strategy=strategy,
-        mapping=mapping,
-        num_source=n,
-    )
+    return ExpansionPlan(num_groups=num_groups, strategy=strategy, mapping=mapping, num_source=n)
 
 
 def expand_layer(

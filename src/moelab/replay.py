@@ -109,16 +109,13 @@ def record_trace(
     ks = {spec.active_k for _, spec in layers}
     if len(ks) != 1:
         raise ValueError(f"all layers must share one k, got {sorted(ks)}")
-    k = ks.pop()
     per_layer = []
     for w, spec in layers:
+        # RoutingTrace's range check would reject only the indices a seed happens to select
         if spec.num_experts > MAX_EXPERTS:
             raise ValueError(f"trace format caps experts at {MAX_EXPERTS}")
-        sel = select(router_probs_batch(b, w), spec, mode)
-        per_layer.append(sel.astype(np.uint16))
-    stacked = np.stack(per_layer, axis=1)
-    assert stacked.shape == (b.shape[0], len(layers), k)
-    return RoutingTrace(indices=stacked)
+        per_layer.append(select(router_probs_batch(b, w), spec, mode))
+    return RoutingTrace(indices=np.stack(per_layer, axis=1))
 
 
 def replay_select(

@@ -20,15 +20,12 @@ __all__ = ["PatchPlan", "plan_patches"]
 @dataclass(frozen=True)
 class PatchPlan:
     """Non-overlapping segmentation: frame f covers samples
-    [f * stride, f * stride + patch_size), the final frame possibly partial."""
+    [f * stride, f * stride + patch_size), the final frame possibly partial.
+    :func:`plan_patches` validates its inputs, so every field is positive."""
 
     patch_size: int
     stride: int
     n_frames: int
-
-    def __post_init__(self):
-        if self.patch_size < 1 or self.stride < 1 or self.n_frames < 1:
-            raise ValueError("patch_size, stride, and n_frames must be positive")
 
 
 def plan_patches(length: int, rate: float, f_min: int = 1, f_max: int = 4096) -> PatchPlan:

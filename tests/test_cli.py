@@ -207,6 +207,24 @@ class TestExpand:
         assert err.count("\n") == 1 and "noise scale must be finite and >= 0" in err
         assert not dst.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--k", "0"], "k must satisfy 1 <= k <= 4, got 0"),
+        (["--factor", "0"], "expansion factor must be >= 1"),
+        (["--calib-tokens", "-1"], "matrix shape must be nonnegative, got (-1, 3)"),
+    ])
+    def test_bad_argument_is_module_error(self, tmp_path, capsys, flags, message):
+        rng = Rng(19)
+        spec = MoeLayerSpec(num_experts=4, active_k=1, num_groups=1, model_dim=3, hidden_dim=5)
+        src, dst = tmp_path / "layer.bin", tmp_path / "out.bin"
+        with open(src, "wb") as fp:
+            save_layer(fp, rng.normal_matrix(4, 3), ExpertBank.random(rng, spec))
+        code = run(["expand", "--input", str(src), "--output", str(dst), "--groups", "4",
+                    *flags, "--out", str(tmp_path / "e.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and message in err
+        assert not dst.exists()
+
     def test_overflowing_noise_is_module_error(self, tmp_path, capsys):
         rng = Rng(19)
         spec = MoeLayerSpec(num_experts=4, active_k=1, num_groups=1, model_dim=3, hidden_dim=5)
@@ -309,6 +327,14 @@ class TestArgumentHoles:
             (["gradcheck-ste", "--taus", "1e300", "--tol", "0"],
              "finite-difference gradient is zero at temperature 1e+300"),
             (["gradcheck-ste", "--taus", "1e-310"], "finite-difference oracle failure"),
+            (["balance-sim", "--mode", "plain_topk", "--experts", "10", "--groups", "4",
+              "--k", "4", "--devices", "2"], "num_groups must divide num_experts (10), got 4"),
+            (["balance-sim", "--tokens", "-1"], "matrix shape must be nonnegative, got (-1, 16)"),
+            (["replay-verify", "--dim", "0"], "model_dim and hidden_dim must be positive"),
+            (["replay-verify", "--tokens", "0"],
+             "trace must cover at least one token, layer, and expert"),
+            (["replay-verify", "--layers", "0"], "need at least one (router, spec) layer"),
+            (["replay-verify", "--tokens", "-1"], "matrix shape must be nonnegative, got (-1, 16)"),
         ],
     )
     def test_module_error_is_one_line(self, tmp_path, capsys, argv, message):

@@ -79,13 +79,20 @@ class TestRng:
     def test_integers_bounds(self):
         v = Rng(5).integers(1000, 7)
         assert v.min() >= 0 and v.max() <= 6
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="bound must be positive"):
             Rng(5).integers(3, 0)
 
     def test_negative_count_rejected(self):
         for draw in (Rng(0).uniform, Rng(0).normal, lambda n: Rng(0).integers(n, 3)):
             with pytest.raises(ValueError, match="draw count must be >= 0, got -1"):
                 draw(-1)
+
+    @pytest.mark.parametrize("rows, cols", [(-2, -3), (-1, 16), (3, -1)])
+    def test_negative_matrix_shape_reserves_nothing(self, rows, cols):
+        rng = Rng(0)
+        with pytest.raises(ValueError, match=rf"matrix shape must be nonnegative, got \({rows}, {cols}\)"):
+            rng.normal_matrix(rows, cols)
+        assert rng.counter == 0
 
 
 class TestBlockedGeneration:
@@ -157,17 +164,17 @@ class TestFiniteDiff:
             finite_diff_grad(lambda v: float("nan"), [1.0])
 
     def test_bad_step_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="step size must be positive"):
             finite_diff_grad(lambda v: 0.0, [1.0], h=0.0)
 
 
 class TestCoercion:
     def test_vector_rank_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="x must be 1-D"):
             as_vector([[1.0, 2.0]])
 
     def test_matrix_rank_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="m must be 2-D"):
             as_matrix([1.0, 2.0])
 
 

@@ -74,13 +74,13 @@ class TestDispatch:
 
 class TestBalanceMetrics:
     def test_perfectly_equal(self):
-        report = LoadReport(4, np.full(4, 25), "grouped", 50, 2)
+        report = LoadReport(4, np.full(4, 25), "grouped")
         m = balance_metrics(report)
         assert m["max_over_mean"] == 1.0
         assert m["coefficient_of_variation"] == 0.0
 
     def test_degenerate_counts(self):
-        report = LoadReport(8, np.array([800, 0, 0, 0, 0, 0, 0, 0]), "plain_topk", 100, 8)
+        report = LoadReport(8, np.array([800, 0, 0, 0, 0, 0, 0, 0]), "plain_topk")
         assert balance_metrics(report)["max_over_mean"] == 8.0
 
     def test_grouped_always_exactly_one(self):
@@ -93,8 +93,8 @@ class TestBalanceMetrics:
             assert balance_metrics(report)["max_over_mean"] == 1.0
 
     def test_empty_dispatch_rejected(self):
-        report = LoadReport(2, np.zeros(2, dtype=np.int64), "grouped", 0, 4)
-        with pytest.raises(ValueError):
+        report = LoadReport(2, np.zeros(2, dtype=np.int64), "grouped")
+        with pytest.raises(ValueError, match="nonempty dispatch"):
             balance_metrics(report)
 
 
@@ -111,6 +111,11 @@ class TestBalanceLoss:
         w[0] = 1000.0
         batch = np.abs(Rng(8).normal_matrix(40, 4)) + 0.1
         assert balance_loss(batch, w, spec) == 16.0
+
+    def test_empty_batch_rejected(self):
+        spec = MoeLayerSpec(num_experts=16, active_k=4, num_groups=1, model_dim=8, hidden_dim=8)
+        with pytest.raises(ValueError, match="balance loss needs at least one token"):
+            balance_loss(np.zeros((0, 8)), np.zeros((16, 8)), spec)
 
     def test_random_batches_at_least_one(self):
         spec = MoeLayerSpec(num_experts=16, active_k=4, num_groups=1, model_dim=8, hidden_dim=8)

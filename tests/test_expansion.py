@@ -30,7 +30,7 @@ def make_stats(rank1, rank2=None):
     if rank2 is None:
         rank2 = np.zeros_like(rank1)
         rank2[0] = rank1.sum()
-    return ActivationStats(rank1=rank1, rank2=rank2, total_tokens=int(rank1.sum()))
+    return ActivationStats(rank1=rank1, rank2=rank2)
 
 
 class TestActivationStats:
@@ -71,7 +71,7 @@ class TestActivationStats:
         assert stats.rank2.sum() == 0
 
     def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least one token"):
             activation_stats(np.zeros((0, 4)), np.zeros((4, 4)), k=2)
 
 
@@ -109,14 +109,16 @@ class TestPlanExpansion:
                 assert top_half & set(plan.group(g).tolist())
 
     def test_rank2_breaks_rank1_ties(self):
-        stats = ActivationStats(
-            rank1=np.array([5, 5, 0]), rank2=np.array([1, 9, 0]), total_tokens=10
-        )
+        stats = ActivationStats(rank1=np.array([5, 5, 0]), rank2=np.array([1, 9, 0]))
         assert np.array_equal(frequency_ranking(stats), [1, 0, 2])
 
     def test_bad_divisibility_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="num_groups must divide the expanded count 6"):
             plan_expansion(make_stats([3, 2, 1]), factor=2, num_groups=4)
+
+    def test_unknown_strategy_rejected(self):
+        with pytest.raises(ValueError, match="unknown expansion strategy 'random'"):
+            plan_expansion(make_stats([3, 2, 1]), factor=1, num_groups=1, strategy="random")
 
 
 class TestExpandLayer:
@@ -163,8 +165,15 @@ class TestExpandLayer:
     def test_noise_requires_rng(self):
         bank, w, _ = self._layer(9)
         plan = plan_expansion(make_stats([10, 9, 8, 7]), factor=1, num_groups=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="rng is required"):
             expand_layer(bank, w, plan, noise=1e-3, rng=None)
+
+    @pytest.mark.parametrize("plan_experts, router_rows", [(3, 4), (4, 3)])
+    def test_expert_counts_must_agree(self, plan_experts, router_rows):
+        bank, w, _ = self._layer(10)
+        plan = plan_expansion(make_stats(np.arange(plan_experts) + 1), factor=1, num_groups=1)
+        with pytest.raises(ValueError, match="plan/bank/router expert counts disagree"):
+            expand_layer(bank, w[:router_rows], plan, noise=0.0)
 
     def test_grouped_top_selections_stay_on_original_topk(self):
         # After expansion with copied rows, route fresh tokens with
@@ -267,6 +276,14 @@ class TestCheckpointIO:
         bank = ExpertBank(np.zeros((n, hidden, d)), np.zeros((n, d, hidden)))
         with pytest.raises(CheckpointError, match="zero dimension"):
             save_layer(buf, np.zeros((n, d)), bank)
+        assert buf.getvalue() == b""
+
+    def test_router_must_match_bank(self):
+        spec = MoeLayerSpec(num_experts=4, active_k=1, num_groups=1, model_dim=8, hidden_dim=6)
+        bank = ExpertBank.random(Rng(11), spec)
+        buf = io.BytesIO()
+        with pytest.raises(ValueError, match=r"router shape \(3, 8\) inconsistent with bank \(4, 8\)"):
+            save_layer(buf, np.zeros((3, 8)), bank)
         assert buf.getvalue() == b""
 
     def test_bad_magic_detected(self):

@@ -121,8 +121,15 @@ class TestQuantizeFp8:
         assert np.all(np.diff(back) >= 0)
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="requires finite inputs"):
             quantize_fp8(np.array([1.0, np.inf]))
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan])
+    def test_nonpositive_scale_rejected(self, scale):
+        with pytest.raises(ValueError, match="scale must be positive"):
+            quantize_fp8(np.ones(3), scale)
+        with pytest.raises(ValueError, match="scale must be positive"):
+            dequantize_fp8(np.zeros(3, dtype=np.uint8), scale)
 
 
 class TestBf16Round:
@@ -399,5 +406,5 @@ class TestApplyFormat:
             apply_format(np.ones(3), "fp16")
 
     def test_policy_validates_formats(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="lm_head: unknown format 'int8'"):
             PrecisionPolicy("fp8_e4m3", "bf16", "int8")

@@ -61,6 +61,14 @@ class TestRecordTrace:
         with pytest.raises(ValueError, match="share one k"):
             record_trace(rng.normal_matrix(4, 5), layers)
 
+    def test_expert_count_beyond_u16_rejected(self):
+        # A zero router selects expert 0, which the trace could hold: only
+        # the cap rejects the layer whatever the seed selects.
+        n = replay.MAX_EXPERTS + 1
+        spec = MoeLayerSpec(num_experts=n, active_k=1, num_groups=1, model_dim=2, hidden_dim=2)
+        with pytest.raises(ValueError, match="trace format caps experts at 65536"):
+            record_trace(np.ones((1, 2)), [(np.zeros((n, 2)), spec)])
+
 
 class TestReplaySelect:
     def test_identical_router_reproduces_live_decision(self):
@@ -196,6 +204,10 @@ class TestTraceSerialization:
     def test_trace_validation(self):
         with pytest.raises(TraceError, match="ascending"):
             RoutingTrace(indices=np.array([[[1, 0]]], dtype=np.uint16))
+
+    def test_two_dimensional_indices_rejected(self):
+        with pytest.raises(TraceError, match=r"trace indices must be \(tokens, layers, k\)"):
+            RoutingTrace(indices=np.zeros((2, 2), dtype=np.uint16))
 
 
 class TestLoadTraceBounded:

@@ -82,7 +82,7 @@ class TestLooAdvantage:
             assert abs(loo_advantage(r).sum()) <= 1e-12 * max(1.0, np.abs(r).sum())
 
     def test_too_small_group(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least 2 responses"):
             loo_advantage(np.array([1.0]))
 
 
@@ -98,7 +98,7 @@ class TestMaskRatio:
         assert mask_ratio(0.5, CFG) == 0.0
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="importance ratio must be >= 0"):
             mask_ratio(-0.1, CFG)
 
     def test_widening_never_masks_a_passing_token(self):
@@ -202,7 +202,7 @@ class TestRlLoss:
             )
 
     def test_group_of_one_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least 2 responses"):
             RolloutBatch(
                 logp_train=[np.array([-1.0])],
                 logp_rollout=[np.array([-1.0])],
@@ -443,11 +443,11 @@ class TestEngineKl:
         assert res.k1_estimate == 0.125
         assert np.array_equal(res.per_token, [-0.5, -0.25, 0.0, 0.25])
         assert EngineKl.from_gaps([]).k1_estimate == 0.0
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="gap must be 1-D"):
             EngineKl.from_gaps(np.zeros((2, 2)))
 
     def test_misaligned_streams_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="token streams must align"):
             engine_kl(np.zeros(3), np.zeros(4))
 
 

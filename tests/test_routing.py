@@ -36,16 +36,20 @@ class TestSpecValidation:
         MoeLayerSpec(num_experts=8, active_k=2, num_groups=2, model_dim=4, hidden_dim=8)
 
     @pytest.mark.parametrize(
-        "kwargs",
+        "kwargs, match",
         [
-            dict(num_experts=8, active_k=0, num_groups=1, model_dim=4, hidden_dim=8),
-            dict(num_experts=8, active_k=9, num_groups=1, model_dim=4, hidden_dim=8),
-            dict(num_experts=8, active_k=2, num_groups=3, model_dim=4, hidden_dim=8),
-            dict(num_experts=8, active_k=2, num_groups=4, model_dim=4, hidden_dim=8),
+            pytest.param(dict(num_experts=8, active_k=0, num_groups=1, model_dim=4, hidden_dim=8),
+                         "active_k must satisfy 1 <= k <= 8, got 0", id="kwargs0"),
+            pytest.param(dict(num_experts=8, active_k=9, num_groups=1, model_dim=4, hidden_dim=8),
+                         "active_k must satisfy 1 <= k <= 8, got 9", id="kwargs1"),
+            pytest.param(dict(num_experts=8, active_k=2, num_groups=3, model_dim=4, hidden_dim=8),
+                         r"num_groups must divide num_experts \(8\), got 3", id="kwargs2"),
+            pytest.param(dict(num_experts=8, active_k=2, num_groups=4, model_dim=4, hidden_dim=8),
+                         r"num_groups must divide active_k \(2\), got 4", id="kwargs3"),
         ],
     )
-    def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
+    def test_invalid(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
             MoeLayerSpec(**kwargs)
 
     def test_no_experts_named_before_k(self):
@@ -77,6 +81,10 @@ class TestRouterProbs:
         with pytest.raises(ValueError, match="expert 3"):
             router_probs(np.array([1.0, 1.0]), w)
 
+    def test_token_dim_must_match_router(self):
+        with pytest.raises(ValueError, match=r"router shape \(4, 5\) incompatible with token dim 3"):
+            router_probs_batch(np.ones((2, 3)), np.ones((4, 5)))
+
     def test_extreme_logits_stable(self):
         w = np.array([[1000.0], [0.0]])
         p = router_probs(np.array([1.0]), w)
@@ -99,7 +107,7 @@ class TestTopkSelect:
         assert np.array_equal(topk_select(p, 2), [0, 1])
 
     def test_k_too_large(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="1 <= k <= 2, got 3"):
             topk_select(np.array([0.5, 0.5]), 3)
 
     def test_random_vs_oracle(self):
@@ -155,8 +163,13 @@ class TestGroupedSelect:
 
     def test_wrong_length_rejected(self):
         spec = MoeLayerSpec(num_experts=8, active_k=2, num_groups=2, model_dim=2, hidden_dim=4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="probability width 6 != num_experts 8"):
             grouped_select(np.full(6, 1 / 6), spec)
+
+    def test_unknown_mode_rejected(self):
+        spec = MoeLayerSpec(num_experts=8, active_k=2, num_groups=2, model_dim=2, hidden_dim=4)
+        with pytest.raises(ValueError, match="unknown routing mode 'top1'"):
+            select(np.full((1, 8), 1 / 8), spec, "top1")
 
 
 class TestGateWeights:
@@ -177,7 +190,7 @@ class TestGateWeights:
             gate_weights([0.5, 0.5, 0.0], [2])
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="selected set must be nonempty"):
             gate_weights([0.5, 0.5], [])
 
     def test_negative_probability_rejected(self):
@@ -243,8 +256,16 @@ class TestMoeForward:
         decision = RoutingDecision(
             probs=np.array([0.5, 0.5]), selected=np.array([0]), gates=np.array([1.0])
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="token dim 4 != bank model dim 3"):
             moe_forward(np.ones(4), bank, decision)
+
+    def test_expert_count_mismatch(self):
+        bank = linear_bank(2, 3, np.ones(2))
+        decision = RoutingDecision(
+            probs=np.full(3, 1 / 3), selected=np.array([0]), gates=np.array([1.0])
+        )
+        with pytest.raises(ValueError, match="decision covers a different number of experts"):
+            moe_forward(np.ones(3), bank, decision)
 
 
 class TestSteGateValue:
@@ -316,8 +337,18 @@ class TestSteBackward:
         assert hits == 100
 
     def test_upstream_alignment_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="upstream must align"):
             ste_backward(np.zeros(3), np.zeros(4), [0, 1])
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan])
+    def test_nonpositive_temperature_rejected(self, tau):
+        with pytest.raises(ValueError, match="temperature must be positive"):
+            ste_backward([1.0], np.zeros(3), [0], tau)
+
+    @pytest.mark.parametrize("selected", [[3], [-1]])
+    def test_out_of_range_rejected(self, selected):
+        with pytest.raises(ValueError, match=r"selected indices out of range \[0, 3\)"):
+            ste_backward([1.0], np.zeros(3), selected)
 
     def test_repeated_indices_rejected(self):
         # Summing both upstreams would give [-0.300, 0.666, -0.366]; keeping
@@ -559,6 +590,15 @@ class TestRoutingDecisionInvariants:
         bank = ExpertBank.random(Rng(1), spec)
         assert bank.num_experts == 5
         assert bank.param_count == 5 * (7 * 3 + 3 * 7)
+
+    @pytest.mark.parametrize("w_in, w_out, match", [
+        (np.zeros((2, 3)), np.zeros((2, 3)), "stacked 3-D arrays"),
+        (np.zeros((2, 4, 3)), np.zeros((2, 4, 3)),
+         r"w_out shape \(2, 4, 3\) inconsistent with w_in \(2, 4, 3\)"),
+    ])
+    def test_bank_shapes_rejected(self, w_in, w_out, match):
+        with pytest.raises(ValueError, match=match):
+            ExpertBank(w_in, w_out)
 
     # Generation in blocks and in-place scaling leave only a few block-sized
     # temporaries next to the bank; full-size ones would take about 3x it.
