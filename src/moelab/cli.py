@@ -287,7 +287,7 @@ def run(argv: list[str]) -> int:
         if getattr(args, "config", None):
             args = _apply_config(parser, argv, args)
         return args.handler(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"moelab {args.command}: {exc}", file=sys.stderr)
         return 1
 

@@ -5,8 +5,7 @@ indices for every (token, layer). A later training pass calls
 :func:`replay_select` to force those selections regardless of how the
 router has moved since: the selected set comes from the trace, while the
 ``RoutingDecision`` built from it recomputes gate weights from the
-*current* probabilities renormalized over the frozen set (pass
-``gate_override`` to replay recorded gate values as constants instead).
+*current* probabilities renormalized over the frozen set.
 
 Traces serialize to a compact binary format: magic ``RTRC``, version u16,
 token count u32, layer count u32, k u16, then token-major packed
@@ -29,6 +28,8 @@ from moelab.routing import (
     MoeLayerSpec,
     RoutingDecision,
     RoutingMode,
+    _finite_probs,
+    _nonnegative_probs,
     router_probs,
     router_probs_batch,
     select,
@@ -118,19 +119,13 @@ def record_trace(
     return RoutingTrace(indices=np.stack(per_layer, axis=1))
 
 
-def replay_select(
-    trace: RoutingTrace,
-    token: int,
-    layer: int,
-    current_probs,
-    gate_override=None,
-) -> RoutingDecision:
+def replay_select(trace: RoutingTrace, token: int, layer: int, current_probs) -> RoutingDecision:
     """Force the recorded selection; gates follow the current router.
 
     Gates are the current probabilities renormalized over the frozen set,
-    so they stay differentiable w.r.t. the live router. ``gate_override``
-    replays fixed gate values instead (they must sum to 1). All checks
-    past the trace entry's range are :class:`RoutingDecision`'s.
+    so they stay differentiable w.r.t. the live router. The caller's
+    probabilities must be finite, nonnegative (``-0.0`` is not negative)
+    and sum to 1 within 1e-12, and the trace entry must lie within them.
     """
     p = as_vector(current_probs, "current_probs")
     s = trace.entry(token, layer)
@@ -139,7 +134,11 @@ def replay_select(
             f"trace entry for token {token}, layer {layer} references expert "
             f"{int(s.max())} but only {p.size} experts exist"
         )
-    return RoutingDecision(p, s, gates=gate_override)
+    _finite_probs(p[None])  # before the sum: a NaN sum passes any tolerance test
+    _nonnegative_probs(p)  # before the sum: [2, -1] sums to 1
+    if abs(p.sum() - 1.0) > 1e-12:
+        raise ValueError("probs must sum to 1 within 1e-12")
+    return RoutingDecision(p, s)
 
 
 def serialize_trace(trace: RoutingTrace) -> bytes:

@@ -31,19 +31,16 @@ product rounds differently from T matrix-vector products, so batch code
 must not become a loop of per-token calls, nor per-token callers one
 batch call.
 
-A per-token decision is built and checked once, by :class:`RoutingDecision`,
-which also derives its gates. It tests strict ascent of the selection
-first, which implies distinct indices, and takes the index range from its
-two endpoints. ``np.unique`` and full min/max scans run only after the
-ascent check has failed, to pick the message (repeated indices before
-range before order).
+A per-token decision is a :class:`RoutingDecision`, which derives its
+gates; its two producers, :func:`route_token` and ``replay.replay_select``,
+check what enters it.
 :func:`moe_forward` and ``precision.mixed_forward`` share one
 expert-mixture loop, which sums the experts in selection order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
@@ -152,56 +149,24 @@ class ExpertBank:
 
 @dataclass
 class RoutingDecision:
-    """One token's routing outcome: probabilities, selection, and gate weights.
+    """One token's routing outcome: probabilities ``p``, ascending selection
+    ``s``, and the gates ``p[s] / p[s].sum()`` derived from them.
 
-    ``gates=None`` derives them as :func:`gate_weights` does; given gates
-    (a replay override, a hand-built decision) are checked instead.
-
-    Construction rejects, in this order: a selection that is not a
-    nonempty 1-D array, repeated indices, indices outside ``[0, N)``, an
-    unsorted selection, non-finite probs, negative probs, probs not
-    summing to 1 within 1e-12, zero probability mass on the selection
-    (derived gates), and given gates that are misaligned, non-finite,
-    negative or not summing to 1 within 1e-12. ``-0.0`` is not negative.
-    Strict ascent is tested first: it implies distinct indices and puts
-    the range at the endpoints, so a valid selection costs one comparison
-    pass.
+    Construction only coerces ``probs`` and ``selected`` and derives the
+    gates, which raises on zero probability mass on the selection. The
+    producers check the rest: :func:`route_token` selects from a softmax of
+    finite logits, and ``replay.replay_select`` checks the caller's
+    probabilities and the trace entry's range.
     """
 
     probs: np.ndarray
     selected: np.ndarray
-    gates: np.ndarray | None = None
+    gates: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.probs = p = as_vector(self.probs, "probs")
-        self.selected = s = np.asarray(self.selected, dtype=np.int64)
-        n = p.size
-        if s.ndim != 1 or s.size < 1:
-            raise ValueError("selected must be a nonempty 1-D index array")
-        ascending = (s[1:] > s[:-1]).all()
-        if not ascending and s.size != np.unique(s).size:
-            raise ValueError("selected indices must be distinct")
-        lo, hi = (s[0], s[-1]) if ascending else (s.min(), s.max())
-        if lo < 0 or hi >= n:
-            raise ValueError(f"selected indices out of range [0, {n})")
-        if not ascending:
-            raise ValueError("selected indices must be sorted ascending")
-        _finite_probs(p[None])  # before the sum: a NaN sum passes any tolerance test
-        _nonnegative_probs(p)  # before the sum: [2, -1] sums to 1
-        if abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError("probs must sum to 1 within 1e-12")
-        if self.gates is None:
-            self.gates = _renormalize(p, s)
-            return
-        self.gates = g = as_vector(self.gates, "gates")
-        if g.shape != s.shape:
-            raise ValueError("gates must align positionally with selected")
-        if not np.isfinite(g).all():
-            raise ValueError(f"gates must be finite, got {g}")
-        if (g < 0.0).any():
-            raise ValueError(f"gates must be nonnegative, got {g}")
-        if abs(g.sum() - 1.0) > 1e-12:
-            raise ValueError("gates must sum to 1 within 1e-12")
+        self.probs = as_vector(self.probs, "probs")
+        self.selected = np.asarray(self.selected, dtype=np.int64)
+        self.gates = _renormalize(self.probs, self.selected)
 
 
 def router_probs_batch(tokens, w_router) -> np.ndarray:
@@ -349,7 +314,7 @@ def route_token(
     x, w_router, spec: MoeLayerSpec, mode: RoutingMode = "plain_topk"
 ) -> RoutingDecision:
     """Live routing of one token: probs, selection under ``mode``, and the
-    decision, which derives the gates and checks the result."""
+    decision, which derives the gates."""
     p = router_probs(x, w_router)
     return RoutingDecision(p, select(p[None], spec, mode)[0])
 

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from moelab import cli
 from moelab.cli import run
 from moelab.core import Rng
 from moelab.expansion import load_layer, save_layer
@@ -150,7 +151,8 @@ class TestExpand:
         row = text.strip().split("\n")[1].split(",")
         assert row[0] == "8" and row[1] == "32" and float(row[2]) == 4.0
 
-        new_w, new_bank = load_layer(open(dst, "rb"))
+        with open(dst, "rb") as fp:
+            new_w, new_bank = load_layer(fp)
         assert new_bank.num_experts == 32
         assert new_bank.param_count == 4 * bank.param_count
         # zero noise: every expanded expert is a bitwise copy of some source
@@ -344,6 +346,26 @@ class TestArgumentHoles:
         assert code == 1
         assert err.count("\n") == 1 and err.startswith(f"moelab {argv[0]}: ")
         assert message in err
+        assert not out.exists()
+
+    # An oversized size argument (--samples 100000000000 and the like) ends
+    # in numpy's MemoryError; the library call raises it here instead.
+    @pytest.mark.parametrize("command, function", [
+        ("precision-sweep", "precision_sweep"),
+        ("balance-sim", "balance_trials"),
+        ("replay-verify", "replay_verify"),
+        ("gradcheck-rl", "gradcheck_rl"),
+        ("gradcheck-ste", "gradcheck_ste"),
+    ])
+    def test_memory_error_is_one_line(self, tmp_path, capsys, monkeypatch, command, function):
+        def allocate(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        monkeypatch.setattr(cli, function, allocate)
+        out = tmp_path / "o.csv"
+        assert run([command, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"moelab {command}: Unable to allocate 745. GiB for an array\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["gradcheck-ste", "gradcheck-rl"])

@@ -125,23 +125,29 @@ class TestReplaySelect:
         want = p2[s] / p2[s].sum()
         assert np.array_equal(replayed.gates.view(np.uint64), want.view(np.uint64))
 
-    @pytest.mark.parametrize("override", [None, [0.5, 0.5]], ids=["derived", "override"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_nonfinite_current_probs_rejected(self, bad, override):
+    def test_nonfinite_current_probs_rejected(self, bad):
+        # A NaN sum passes any tolerance test, so finiteness is checked first.
         trace = RoutingTrace(indices=np.array([[[0, 2]]], dtype=np.uint16))
         p = np.array([0.25, bad, 0.25, 0.5])
         with pytest.raises(ValueError, match="non-finite probability .* column 1"):
-            replay_select(trace, 0, 0, p, gate_override=override)
+            replay_select(trace, 0, 0, p)
 
-    def test_gate_override_is_replayed_verbatim(self):
-        rng = Rng(9)
-        layers = make_layers(rng, num_layers=1)
-        w, spec = layers[0]
-        x = rng.normal(5)
-        trace = record_trace(x[None, :], layers)
-        frozen = np.array([0.75, 0.25])
-        replayed = replay_select(trace, 0, 0, router_probs(x, w), gate_override=frozen)
-        assert np.array_equal(replayed.gates, frozen)
+    @pytest.mark.parametrize("p, match", [
+        # finite and summing to 1: only a sign check rejects it
+        ([2.0, -1.0, 0.0, 0.0], r"negative probability -1.0 at index 1"),
+        ([0.5, 0.4, 0.2, 0.0], "probs must sum to 1 within 1e-12"),
+    ], ids=["negative", "bad_sum"])
+    def test_bad_current_probs_rejected(self, p, match):
+        trace = RoutingTrace(indices=np.array([[[0, 2]]], dtype=np.uint16))
+        with pytest.raises(ValueError, match=match):
+            replay_select(trace, 0, 0, p)
+
+    def test_negative_zero_is_not_negative(self):
+        trace = RoutingTrace(indices=np.array([[[0, 1]]], dtype=np.uint16))
+        d = replay_select(trace, 0, 0, [-0.0, 1.0, 0.0])
+        assert np.array_equal(d.gates, [-0.0, 1.0]) and np.signbit(d.gates[0])
+        assert np.array_equal(replay_select(trace, 0, 0, [0.5, 0.5, -0.0]).gates, [0.5, 0.5])
 
     def test_missing_entry_raises(self):
         rng = Rng(10)

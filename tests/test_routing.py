@@ -217,20 +217,15 @@ class TestMoeForward:
     def test_single_doubling_expert(self):
         bank = linear_bank(3, 4, np.array([5.0, 2.0, 7.0]))
         x = np.array([1.0, -2.0, 3.0, 0.5])
-        decision = RoutingDecision(
-            probs=np.array([0.2, 0.5, 0.3]), selected=np.array([1]), gates=np.array([1.0])
-        )
+        decision = RoutingDecision(probs=np.array([0.2, 0.5, 0.3]), selected=np.array([1]))
         assert np.allclose(moe_forward(x, bank, decision), 2.0 * x, atol=1e-15)
 
     def test_two_expert_convex_combination(self):
         a, b, g = 3.0, -1.5, 0.375
         bank = linear_bank(2, 3, np.array([a, b]))
         x = np.array([0.3, -0.7, 1.1])
-        decision = RoutingDecision(
-            probs=np.array([g, 1 - g]),
-            selected=np.array([0, 1]),
-            gates=np.array([g, 1 - g]),
-        )
+        decision = RoutingDecision(probs=np.array([g, 1 - g]), selected=np.array([0, 1]))
+        assert np.array_equal(decision.gates, [g, 1 - g])
         want = (g * a + (1 - g) * b) * x
         assert np.allclose(moe_forward(x, bank, decision), want, atol=1e-14)
 
@@ -253,17 +248,13 @@ class TestMoeForward:
 
     def test_shape_mismatch(self):
         bank = linear_bank(2, 3, np.ones(2))
-        decision = RoutingDecision(
-            probs=np.array([0.5, 0.5]), selected=np.array([0]), gates=np.array([1.0])
-        )
+        decision = RoutingDecision(probs=np.array([0.5, 0.5]), selected=np.array([0]))
         with pytest.raises(ValueError, match="token dim 4 != bank model dim 3"):
             moe_forward(np.ones(4), bank, decision)
 
     def test_expert_count_mismatch(self):
         bank = linear_bank(2, 3, np.ones(2))
-        decision = RoutingDecision(
-            probs=np.full(3, 1 / 3), selected=np.array([0]), gates=np.array([1.0])
-        )
+        decision = RoutingDecision(probs=np.full(3, 1 / 3), selected=np.array([0]))
         with pytest.raises(ValueError, match="decision covers a different number of experts"):
             moe_forward(np.ones(3), bank, decision)
 
@@ -273,18 +264,17 @@ class TestSteGateValue:
         rng = Rng(41)
         for _ in range(100):
             z = rng.normal(6)
-            s = topk_select(softmax(z), 3)
-            a = ste_gate_value(z, s)
-            b = gate_weights(softmax(z), s)
-            assert np.array_equal(a, b)
+            q = softmax(z)
+            s = topk_select(q, 3)
+            assert np.max(np.abs(ste_gate_value(z, s) - q[s] / q[s].sum())) <= 1e-12
 
     def test_singleton(self):
         assert np.array_equal(ste_gate_value(np.array([2.0, 1.0, 0.0]), [0]), [1.0])
 
     def test_explicit_instance(self):
         z = np.array([1.0, 0.0, -1.0])
-        got = ste_gate_value(z, [0, 1])
-        assert np.array_equal(got, gate_weights(softmax(z), [0, 1]))
+        q = softmax(z)
+        assert np.max(np.abs(ste_gate_value(z, [0, 1]) - q[:2] / q[:2].sum())) <= 1e-12
 
 
 class TestSteBackward:
@@ -505,85 +495,12 @@ class TestGateRule:
 
 
 class TestRoutingDecisionInvariants:
-    # Every rejection, each with its message: the checks run strict ascent
-    # first and take the range from the endpoints, so each case pins which
-    # message an input gets.
-    P3 = np.array([0.5, 0.3, 0.2])
-
-    @pytest.mark.parametrize(
-        "selected, gates, match",
-        [
-            ([[0, 1]], [0.5, 0.5], "nonempty 1-D"),
-            (np.array([], dtype=np.int64), [], "nonempty 1-D"),
-            ([1, 1], [0.5, 0.5], "distinct"),
-            ([2, 0, 2], [0.25, 0.5, 0.25], "distinct"),
-            ([-1, 0], [0.5, 0.5], r"out of range \[0, 3\)"),
-            ([0, 3], [0.5, 0.5], r"out of range \[0, 3\)"),
-            ([5, 0], [0.5, 0.5], r"out of range \[0, 3\)"),
-            ([0, 1], [1.0], "align positionally"),
-            ([0, 1], [math.nan, 0.5], "gates must be finite"),
-            ([0, 1], [math.inf, 0.5], "gates must be finite"),
-            ([0, 1], [-math.inf, 0.5], "gates must be finite"),
-            # inf + -inf would also raise numpy's invalid-value warning in the sum
-            ([0, 1], [math.inf, -math.inf], "gates must be finite"),
-        ],
-        ids=["2d", "empty", "duplicate", "unsorted_duplicate", "negative", "index_eq_n",
-             "unsorted_out_of_range", "misaligned_gates", "nan_gate", "inf_gate", "-inf_gate",
-             "inf_minus_inf_gates"],
-    )
-    def test_rejects_bad_selection(self, selected, gates, match):
-        with pytest.raises(ValueError, match=match):
-            RoutingDecision(probs=self.P3, selected=np.asarray(selected), gates=np.asarray(gates))
-
-    def test_rejects_unsorted_selection(self):
-        with pytest.raises(ValueError, match="sorted ascending"):
-            RoutingDecision(
-                probs=np.array([0.5, 0.3, 0.2]),
-                selected=np.array([2, 0]),
-                gates=np.array([0.3, 0.7]),
-            )
-
-    def test_rejects_bad_gate_sum(self):
-        with pytest.raises(ValueError, match="gates must sum to 1"):
-            RoutingDecision(
-                probs=np.array([0.5, 0.5]),
-                selected=np.array([0]),
-                gates=np.array([0.9]),
-            )
-
-    def test_rejects_bad_probs_sum(self):
-        with pytest.raises(ValueError, match="probs must sum to 1"):
-            RoutingDecision(
-                probs=np.array([0.5, 0.4, 0.2]), selected=np.array([0]), gates=np.array([1.0])
-            )
-
-    @pytest.mark.parametrize("gates", [None, [1.0]], ids=["derived", "given"])
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_rejects_nonfinite_probs(self, bad, gates):
-        # A NaN sum passes any tolerance test, so finiteness is checked first.
-        with pytest.raises(ValueError, match="non-finite probability .* column 0"):
-            RoutingDecision(probs=[bad, 0.5, 0.5], selected=[1], gates=gates)
-
-    # [2, -1, 0] is finite and sums to 1: only a sign check rejects it.
-    @pytest.mark.parametrize("gates", [None, [1.0, 0.0]], ids=["derived", "given"])
-    def test_rejects_negative_probs(self, gates):
-        with pytest.raises(ValueError, match=r"negative probability -1.0 at index 1"):
-            RoutingDecision([2.0, -1.0, 0.0], [0, 1], gates=gates)
-
-    def test_rejects_negative_gates(self):
-        with pytest.raises(ValueError, match="gates must be nonnegative"):
-            RoutingDecision([0.5, 0.5, 0.0], [0, 1], gates=[2.0, -1.0])
-
-    def test_negative_zero_is_not_negative(self):
-        d = RoutingDecision([-0.0, 1.0, 0.0], [0, 1])
-        assert np.array_equal(d.gates, [-0.0, 1.0])
-        RoutingDecision([0.5, 0.5, -0.0], [0, 1], gates=[1.0, -0.0])
-
+    # The decision only coerces and derives; its producers check its input
+    # (test_replay.py covers replay_select's probability checks).
     def test_accepts_valid_decision(self):
-        d = RoutingDecision(
-            probs=self.P3, selected=np.array([0, 2]), gates=np.array([0.25, 0.75]),
-        )
+        d = RoutingDecision(probs=[0.5, 0.3, 0.2], selected=[0, 2])
         assert d.selected.dtype == np.int64
+        assert d.probs.dtype == np.float64
 
     def test_bank_random_shapes(self):
         spec = MoeLayerSpec(num_experts=5, active_k=2, num_groups=1, model_dim=3, hidden_dim=7)
