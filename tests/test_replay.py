@@ -125,19 +125,25 @@ class TestReplaySelect:
         want = p2[s] / p2[s].sum()
         assert np.array_equal(replayed.gates.view(np.uint64), want.view(np.uint64))
 
+    # Every column is checked, inside the replayed set [0, 2] or not.
+    @pytest.mark.parametrize(
+        "col", [1, 0, 2], ids=["unselected", "first_selected", "last_selected"]
+    )
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_nonfinite_current_probs_rejected(self, bad):
+    def test_nonfinite_current_probs_rejected(self, bad, col):
         # A NaN sum passes any tolerance test, so finiteness is checked first.
         trace = RoutingTrace(indices=np.array([[[0, 2]]], dtype=np.uint16))
-        p = np.array([0.25, bad, 0.25, 0.5])
-        with pytest.raises(ValueError, match="non-finite probability .* column 1"):
+        p = np.array([0.25, 0.0, 0.25, 0.5])
+        p[col] = bad
+        with pytest.raises(ValueError, match=f"non-finite probability .* column {col}"):
             replay_select(trace, 0, 0, p)
 
     @pytest.mark.parametrize("p, match", [
-        # finite and summing to 1: only a sign check rejects it
+        # finite and summing to 1: only a sign check rejects these two
         ([2.0, -1.0, 0.0, 0.0], r"negative probability -1.0 at index 1"),
+        ([0.0, 2.0, -1.0, 0.0], r"negative probability -1.0 at index 2"),
         ([0.5, 0.4, 0.2, 0.0], "probs must sum to 1 within 1e-12"),
-    ], ids=["negative", "bad_sum"])
+    ], ids=["negative", "negative_selected", "bad_sum"])
     def test_bad_current_probs_rejected(self, p, match):
         trace = RoutingTrace(indices=np.array([[[0, 2]]], dtype=np.uint16))
         with pytest.raises(ValueError, match=match):
