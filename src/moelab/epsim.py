@@ -19,13 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from moelab.core import Rng, as_matrix
-from moelab.routing import (
-    MoeLayerSpec,
-    RoutingMode,
-    router_probs_batch,
-    select,
-    topk_select_batch,
-)
+from moelab.routing import MoeLayerSpec, RoutingMode, router_probs_batch, select
 
 __all__ = [
     "LoadReport", "dispatch", "balance_metrics", "balance_loss", "balance_trial", "balance_trials",
@@ -40,9 +34,7 @@ class LoadReport:
     per device; the record itself checks nothing.
     """
 
-    num_devices: int
     counts: np.ndarray
-    mode: RoutingMode
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=np.int64)
@@ -64,7 +56,7 @@ def _dispatch(
     sel = select(probs, spec, mode)
     per_device = n // num_devices
     counts = np.bincount((sel // per_device).ravel(), minlength=num_devices)
-    return probs, sel, LoadReport(num_devices=num_devices, counts=counts, mode=mode)
+    return probs, sel, LoadReport(counts)
 
 
 def dispatch(
@@ -88,7 +80,7 @@ def balance_metrics(report: LoadReport) -> dict[str, float]:
     total = int(report.counts.sum())
     if total <= 0:
         raise ValueError("balance metrics need a nonempty dispatch")
-    mean = total / report.num_devices
+    mean = total / report.counts.size
     return {
         "max_over_mean": float(report.counts.max() / mean),
         "coefficient_of_variation": float(report.counts.std() / mean),
@@ -113,7 +105,7 @@ def balance_loss(batch, w_router, spec: MoeLayerSpec) -> float:
     if b.shape[0] < 1:
         raise ValueError("balance loss needs at least one token")
     probs = router_probs_batch(b, w_router)
-    return _aux_loss(probs, topk_select_batch(probs, spec.active_k))
+    return _aux_loss(probs, select(probs, spec, "plain_topk"))
 
 
 def balance_trial(
@@ -135,7 +127,7 @@ def balance_trial(
     batch = rng.normal_matrix(num_tokens, spec.model_dim)
     probs, sel, report = _dispatch(batch, w, spec, num_devices, mode)
     metrics = balance_metrics(report)
-    plain = sel if mode == "plain_topk" else topk_select_batch(probs, spec.active_k)
+    plain = sel if mode == "plain_topk" else select(probs, spec, "plain_topk")
     return {
         "mode": mode,
         "T": num_tokens,

@@ -28,7 +28,7 @@ from typing import BinaryIO, Literal
 import numpy as np
 
 from moelab.core import Rng, _read_framed, as_matrix
-from moelab.routing import ExpertBank, router_probs_batch
+from moelab.routing import ExpertBank, router_probs_batch, topk_select_batch
 
 __all__ = [
     "ActivationStats",
@@ -79,22 +79,19 @@ def activation_stats(batch, w_router, k: int) -> ActivationStats:
 
     Each token is routed by plain top-k at temperature 1; the expert with
     the highest probability counts as rank-1, the runner-up (when k >= 2)
-    as rank-2.
+    as rank-2, lower index first among equal probabilities.
     """
     b = as_matrix(batch, "batch")
     if b.shape[0] < 1:
         raise ValueError("calibration batch must contain at least one token")
-    w = as_matrix(w_router, "w_router")
-    n = w.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
-    probs = router_probs_batch(b, w)
-    order = np.argsort(-probs, axis=1, kind="stable")
-    rank1 = np.bincount(order[:, 0], minlength=n)
-    if k >= 2:
-        rank2 = np.bincount(order[:, 1], minlength=n)
-    else:
-        rank2 = np.zeros(n, dtype=np.int64)
+    probs = router_probs_batch(b, w_router)
+    n = probs.shape[1]
+    top = topk_select_batch(probs, k)
+    # top is ascending per row, so a stable sort of its k columns breaks ties low
+    order = np.argsort(-np.take_along_axis(probs, top, axis=1), axis=1, kind="stable")
+    ranked = np.take_along_axis(top, order, axis=1)
+    rank1 = np.bincount(ranked[:, 0], minlength=n)
+    rank2 = np.bincount(ranked[:, 1], minlength=n) if k >= 2 else np.zeros(n, dtype=np.int64)
     return ActivationStats(rank1=rank1, rank2=rank2)
 
 
@@ -117,7 +114,6 @@ class ExpansionPlan:
     """
 
     num_groups: int
-    strategy: ExpansionStrategy
     mapping: np.ndarray
     num_source: int
 
@@ -172,7 +168,7 @@ def plan_expansion(
         raise ValueError(f"unknown expansion strategy {strategy!r}")
 
     mapping = np.array([i for grp in groups for i in grp], dtype=np.int64)
-    return ExpansionPlan(num_groups=num_groups, strategy=strategy, mapping=mapping, num_source=n)
+    return ExpansionPlan(num_groups=num_groups, mapping=mapping, num_source=n)
 
 
 def expand_layer(

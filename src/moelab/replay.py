@@ -28,8 +28,7 @@ from moelab.routing import (
     MoeLayerSpec,
     RoutingDecision,
     RoutingMode,
-    _finite_probs,
-    _nonnegative_probs,
+    _checked_probs,
     router_probs,
     router_probs_batch,
     select,
@@ -134,8 +133,7 @@ def replay_select(trace: RoutingTrace, token: int, layer: int, current_probs) ->
             f"trace entry for token {token}, layer {layer} references expert "
             f"{int(s.max())} but only {p.size} experts exist"
         )
-    _finite_probs(p[None])  # before the sum: a NaN sum passes any tolerance test
-    _nonnegative_probs(p)  # before the sum: [2, -1] sums to 1
+    _checked_probs(p)  # before the sum test, which a NaN or [2, -1] would pass
     if abs(p.sum() - 1.0) > 1e-12:
         raise ValueError("probs must sum to 1 within 1e-12")
     return RoutingDecision(p, s)

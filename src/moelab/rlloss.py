@@ -335,15 +335,19 @@ def load_batch(fp: IO[str]) -> RolloutBatch:
         parts = line.split()
         if not parts:
             continue
+        where = f"rollout record line {lineno}"
         if len(parts) < 2:
-            raise ValueError(f"rollout record line {lineno}: too few fields")
-        reward, length = float(parts[0]), int(parts[1])
+            raise ValueError(f"{where}: too few fields")
+        try:  # float() and int() name the field but not the line
+            reward, length = float(parts[0]), int(parts[1])
+            vals = np.fromiter(map(float, parts[2:]), np.float64, len(parts) - 2)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        if length < 0:
+            raise ValueError(f"{where}: negative token count {length}")
         if len(parts) != 2 + 4 * length:
-            raise ValueError(
-                f"rollout record line {lineno}: expected {2 + 4 * length} fields, got {len(parts)}"
-            )
+            raise ValueError(f"{where}: expected {2 + 4 * length} fields, got {len(parts)}")
         rewards.append(reward)
-        vals = np.fromiter(map(float, parts[2:]), np.float64, 4 * length)
         for b, chunk in zip(blocks, vals.reshape(4, length)):
             b.append(chunk)
     return RolloutBatch(*blocks, rewards=np.array(rewards))

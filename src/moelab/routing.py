@@ -21,9 +21,10 @@ with entries equal to it, lowest index first. Non-finite probabilities
 are rejected, since they have no place in that order.
 
 The routing core is batch-first: :func:`router_probs_batch`, one block
-top-k kernel behind :func:`topk_select_batch` and
-:func:`grouped_select_batch` (plain top-k is a single block), and
-:func:`select`, the one routing-mode dispatch. :func:`router_probs`,
+top-k kernel (plain top-k is a single block), and :func:`select`, the one
+routing-mode dispatch and the one check of a probability width against a
+spec; :func:`grouped_select_batch` is its grouped view and
+:func:`topk_select_batch` the kernel for a bare k. :func:`router_probs`,
 :func:`topk_select`, :func:`grouped_select` and :func:`route_token` are
 1-row views of them. That direction keeps outputs bit-for-bit: a 1-row
 ``x[None] @ W.T`` rounds exactly like ``W @ x``, but a T-row matrix
@@ -228,13 +229,30 @@ def _finite_probs(probs) -> np.ndarray:
     return pm
 
 
-def _nonnegative_probs(p: np.ndarray) -> None:
-    """Raise ValueError naming the first negative entry of the vector ``p``;
-    ``-0.0`` is not negative."""
-    neg = p < 0.0
+def _checked_probs(p) -> np.ndarray:
+    """``p`` as a float64 vector whose entries are finite and nonnegative
+    (``-0.0`` is not negative); else ValueError naming the first bad entry."""
+    pv = _finite_probs(as_vector(p, "p")[None])[0]
+    neg = pv < 0.0
     if neg.any():
         i = int(np.argmax(neg))
-        raise ValueError(f"negative probability {p[i]} at index {i}")
+        raise ValueError(f"negative probability {pv[i]} at index {i}")
+    return pv
+
+
+def _checked_selection(selected, n: int) -> np.ndarray:
+    """``selected`` as int64 indices into ``n`` experts: 1-D, nonempty, in
+    range and without repeats; else ValueError."""
+    s = np.asarray(selected, dtype=np.int64)
+    if s.ndim != 1:
+        raise ValueError(f"selected must be 1-D, got shape {s.shape}")
+    if s.size < 1:
+        raise ValueError("selected set must be nonempty")
+    if s.min() < 0 or s.max() >= n:
+        raise ValueError(f"selected indices out of range [0, {n})")
+    if np.unique(s).size != s.size:
+        raise ValueError("selected indices must be distinct")
+    return s
 
 
 def topk_select_batch(probs, k: int) -> np.ndarray:
@@ -252,15 +270,9 @@ def grouped_select_batch(probs, spec: MoeLayerSpec) -> np.ndarray:
 
     Group g owns indices [g*N/G, (g+1)*N/G); exactly k/G experts are taken
     from each block, so every row has exactly ``spec.active_k`` entries
-    with a fixed per-block count. Raises ValueError on a non-finite
-    probability.
+    with a fixed per-block count. The grouped view of :func:`select`.
     """
-    pm = _finite_probs(probs)
-    if pm.shape[1] != spec.num_experts:
-        raise ValueError(
-            f"probability width {pm.shape[1]} != num_experts {spec.num_experts}"
-        )
-    return _block_topk(pm, spec.num_groups, spec.k_per_group)
+    return select(probs, spec, "grouped")
 
 
 def topk_select(p, k: int) -> np.ndarray:
@@ -276,13 +288,18 @@ def grouped_select(p, spec: MoeLayerSpec) -> np.ndarray:
 def select(probs, spec: MoeLayerSpec, mode: RoutingMode) -> np.ndarray:
     """(T, k) ascending expert indices per row of ``probs`` under ``mode``.
 
-    The one place a routing mode is interpreted.
+    The one place a routing mode is interpreted and the probabilities are
+    checked against ``spec``: ValueError on an unknown mode, a non-finite
+    probability, or a width other than ``spec.num_experts``. Plain top-k is
+    the kernel with one block.
     """
-    if mode == "grouped":
-        return grouped_select_batch(probs, spec)
-    if mode == "plain_topk":
-        return topk_select_batch(probs, spec.active_k)
-    raise ValueError(f"unknown routing mode {mode!r}")
+    if mode not in ("grouped", "plain_topk"):
+        raise ValueError(f"unknown routing mode {mode!r}")
+    pm = _finite_probs(probs)
+    if pm.shape[1] != spec.num_experts:
+        raise ValueError(f"probability width {pm.shape[1]} != num_experts {spec.num_experts}")
+    groups = spec.num_groups if mode == "grouped" else 1
+    return _block_topk(pm, groups, spec.active_k // groups)
 
 
 def _renormalize(p: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -298,16 +315,11 @@ def gate_weights(p, selected) -> np.ndarray:
     """Probabilities restricted to the selected set, renormalized to sum 1.
 
     Raises ValueError on a non-finite or negative probability anywhere in
-    ``p``.
+    ``p``, and on a selection that is not 1-D, nonempty, in range and
+    distinct.
     """
-    pv = _finite_probs(as_vector(p, "p")[None])[0]
-    _nonnegative_probs(pv)
-    s = np.asarray(selected, dtype=np.int64)
-    if s.size < 1:
-        raise ValueError("selected set must be nonempty")
-    if s.min() < 0 or s.max() >= pv.size:
-        raise ValueError(f"selected indices out of range [0, {pv.size})")
-    return _renormalize(pv, s)
+    pv = _checked_probs(p)
+    return _renormalize(pv, _checked_selection(selected, pv.size))
 
 
 def route_token(
@@ -367,14 +379,10 @@ def ste_backward(upstream, z, selected, temperature: float = 1.0) -> np.ndarray:
     if not temperature > 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     zv = as_vector(z, "z")
-    s = np.asarray(selected, dtype=np.int64)
+    s = _checked_selection(selected, zv.size)  # u[s] = up would keep one repeat's upstream
     up = as_vector(upstream, "upstream")
     if up.shape != s.shape:
         raise ValueError("upstream must align positionally with selected")
-    if (s < 0).any() or (s >= zv.size).any():
-        raise ValueError(f"selected indices out of range [0, {zv.size})")
-    if np.unique(s).size != s.size:  # u[s] = up would keep only one repeat's upstream
-        raise ValueError("selected indices must be distinct")
     p = softmax(zv / temperature)
     u = np.zeros_like(zv)
     u[s] = up

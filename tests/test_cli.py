@@ -130,6 +130,21 @@ class TestGradchecks:
         assert err.count("\n") == 1 and "loss is not finite at response 0" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line, message", [
+        ("x 1 -0.5 -0.5 -0.5 -0.5", "could not convert string to float: 'x'"),
+        ("1.0 1.5 -0.5 -0.5 -0.5 -0.5", "invalid literal for int() with base 10: '1.5'"),
+        ("1.0 -1 -0.5 -0.5", "negative token count -1"),
+        ("1.0 1 -0.5 y -0.5 -0.5", "could not convert string to float: 'y'"),
+    ], ids=["reward", "fractional-count", "negative-count", "log-prob"])
+    def test_rl_batch_parse_error_names_line(self, tmp_path, capsys, line, message):
+        path = tmp_path / "batch.txt"
+        path.write_text(f"1.0 1 -0.5 -0.5 -0.5 -0.5\n{line}\n")
+        out = tmp_path / "l.csv"
+        code = run(["gradcheck-rl", "--batch", str(path), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"moelab gradcheck-rl: rollout record line 2: {message}\n"
+        assert not out.exists()
+
 
 class TestExpand:
     def test_checkpoint_round_trip(self, tmp_path):

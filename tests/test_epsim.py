@@ -74,13 +74,13 @@ class TestDispatch:
 
 class TestBalanceMetrics:
     def test_perfectly_equal(self):
-        report = LoadReport(4, np.full(4, 25), "grouped")
+        report = LoadReport(np.full(4, 25))
         m = balance_metrics(report)
         assert m["max_over_mean"] == 1.0
         assert m["coefficient_of_variation"] == 0.0
 
     def test_degenerate_counts(self):
-        report = LoadReport(8, np.array([800, 0, 0, 0, 0, 0, 0, 0]), "plain_topk")
+        report = LoadReport(np.array([800, 0, 0, 0, 0, 0, 0, 0]))
         assert balance_metrics(report)["max_over_mean"] == 8.0
 
     def test_grouped_always_exactly_one(self):
@@ -93,7 +93,7 @@ class TestBalanceMetrics:
             assert balance_metrics(report)["max_over_mean"] == 1.0
 
     def test_empty_dispatch_rejected(self):
-        report = LoadReport(2, np.zeros(2, dtype=np.int64), "grouped")
+        report = LoadReport(np.zeros(2, dtype=np.int64))
         with pytest.raises(ValueError, match="nonempty dispatch"):
             balance_metrics(report)
 

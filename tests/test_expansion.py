@@ -65,6 +65,27 @@ class TestActivationStats:
         assert np.array_equal(stats.rank1, r1)
         assert np.array_equal(stats.rank2, r2)
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_tied_experts_rank_lower_index_first(self, k):
+        rng = Rng(5)
+        w = rng.normal_matrix(6, 4)
+        w[1] *= 4.0
+        w[4] = w[1]  # experts 1 and 4 tie on every token
+        batch = rng.normal_matrix(200, 4)
+        stats = activation_stats(batch, w, k=k)
+
+        r1 = np.zeros(6, dtype=np.int64)
+        r2 = np.zeros(6, dtype=np.int64)
+        for x in batch:
+            z = w @ x
+            order = sorted(range(6), key=lambda i: (-z[i], i))
+            r1[order[0]] += 1
+            if k >= 2:
+                r2[order[1]] += 1
+        assert r1[1] > 0 and r1[4] == 0  # the tie decided some rank-1 slots
+        assert np.array_equal(stats.rank1, r1)
+        assert np.array_equal(stats.rank2, r2)
+
     def test_k1_has_no_rank2(self):
         rng = Rng(4)
         stats = activation_stats(rng.normal_matrix(10, 3), rng.normal_matrix(4, 3), k=1)

@@ -7,6 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moelab.core import Rng, finite_diff_grad
+from moelab.epsim import balance_loss, dispatch
+from moelab.replay import record_trace
 from moelab.routing import (
     ExpertBank,
     MoeLayerSpec,
@@ -172,6 +174,28 @@ class TestGroupedSelect:
             select(np.full((1, 8), 1 / 8), spec, "top1")
 
 
+class TestSpecWidth:
+    """Plain top-k checks the probability width against the spec, as grouped
+    selection does, wherever a spec drives it."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x, w, spec: route_token(x[0], w, spec, "plain_topk"),
+            lambda x, w, spec: record_trace(x, [(w, spec)], "plain_topk"),
+            lambda x, w, spec: dispatch(x, w, spec, 2, "plain_topk"),
+            lambda x, w, spec: balance_loss(x, w, spec),
+        ],
+        ids=["route_token", "record_trace", "dispatch", "balance_loss"],
+    )
+    def test_plain_topk_rejects_router_of_other_width(self, call):
+        spec = MoeLayerSpec(num_experts=8, active_k=2, num_groups=1, model_dim=4, hidden_dim=4)
+        rng = Rng(14)
+        w = rng.normal_matrix(16, 4)
+        with pytest.raises(ValueError, match="probability width 16 != num_experts 8"):
+            call(rng.normal_matrix(16, 4), w, spec)
+
+
 class TestGateWeights:
     def test_singleton(self):
         assert np.array_equal(gate_weights([0.1, 0.7, 0.2], [1]), [1.0])
@@ -202,6 +226,22 @@ class TestGateWeights:
     def test_out_of_range_rejected(self, selected):
         with pytest.raises(ValueError, match=r"out of range \[0, 2\)"):
             gate_weights([0.5, 0.5], selected)
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda s: gate_weights([0.5, 0.3, 0.2], s), lambda s: ste_gate_value([1.0, 0.0, -1.0], s)],
+        ids=["gate_weights", "ste_gate_value"],
+    )
+    @pytest.mark.parametrize(
+        "selected, message",
+        [([0, 0], "selected indices must be distinct"),
+         ([[0, 1]], r"selected must be 1-D, got shape \(1, 2\)")],
+        ids=["repeated", "2-D"],
+    )
+    def test_malformed_selection_rejected(self, call, selected, message):
+        # Accepted, [0, 0] would give expert 0 two gates, and [[0, 1]] a 2-D gate array.
+        with pytest.raises(ValueError, match=message):
+            call(selected)
 
 
 class TestMoeForward:
@@ -345,6 +385,16 @@ class TestSteBackward:
         # only the last one gave [-0.200, 0.444, -0.244].
         with pytest.raises(ValueError, match="selected indices must be distinct"):
             ste_backward([1.0, 2.0], [0.1, 0.2, 0.3], [1, 1])
+
+    @pytest.mark.parametrize(
+        "upstream, selected, message",
+        [([], [], "selected set must be nonempty"),
+         ([1.0, 2.0], [[0, 1]], r"selected must be 1-D, got shape \(1, 2\)")],
+        ids=["empty", "2-D"],
+    )
+    def test_malformed_selection_rejected(self, upstream, selected, message):
+        with pytest.raises(ValueError, match=message):
+            ste_backward(upstream, [0.1, 0.2, 0.3], selected)
 
 
 class TestBatchForms:
