@@ -124,14 +124,6 @@ class ExpansionPlan:
     def new_count(self) -> int:
         return self.mapping.size
 
-    @property
-    def group_size(self) -> int:
-        return self.mapping.size // self.num_groups
-
-    def group(self, g: int) -> np.ndarray:
-        lo = g * self.group_size
-        return self.mapping[lo : lo + self.group_size]
-
 
 def plan_expansion(
     stats: ActivationStats,

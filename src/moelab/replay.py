@@ -1,11 +1,11 @@
 """Routing-trace recording and forced replay.
 
 During a rollout pass, :func:`record_trace` stores the selected expert
-indices for every (token, layer). A later training pass calls
-:func:`replay_select` to force those selections regardless of how the
-router has moved since: the selected set comes from the trace, while the
-``RoutingDecision`` built from it recomputes gate weights from the
-*current* probabilities renormalized over the frozen set.
+indices for every (token, layer). A later training pass forces those
+selections however the router has moved since: the selection comes from
+the trace, and the ``RoutingDecision`` built on it renormalizes the
+*current* probabilities over that frozen set. :func:`replay_select` replays
+one token's entry; :func:`replay_verify` replays each layer as one batch.
 
 Traces serialize to a compact binary format: magic ``RTRC``, version u16,
 token count u32, layer count u32, k u16, then token-major packed
@@ -29,7 +29,6 @@ from moelab.routing import (
     RoutingDecision,
     RoutingMode,
     _checked_probs,
-    router_probs,
     router_probs_batch,
     select,
 )
@@ -129,14 +128,17 @@ def replay_select(trace: RoutingTrace, token: int, layer: int, current_probs) ->
     p = as_vector(current_probs, "current_probs")
     s = trace.entry(token, layer)
     if s.max() >= p.size:
-        raise TraceError(
-            f"trace entry for token {token}, layer {layer} references expert "
-            f"{int(s.max())} but only {p.size} experts exist"
-        )
+        raise _beyond_experts(trace, token, layer, p.size)
     _checked_probs(p)  # before the sum test, which a NaN or [2, -1] would pass
     if abs(p.sum() - 1.0) > 1e-12:
         raise ValueError("probs must sum to 1 within 1e-12")
     return RoutingDecision(p, s)
+
+
+def _beyond_experts(trace: RoutingTrace, token: int, layer: int, n: int) -> TraceError:
+    top = int(trace.indices[token, layer].max())
+    return TraceError(f"trace entry for token {token}, layer {layer} references expert "
+                      f"{top} but only {n} experts exist")
 
 
 def serialize_trace(trace: RoutingTrace) -> bytes:
@@ -184,7 +186,9 @@ def replay_verify(
     """Record a seeded batch's trace (saved to ``record_path`` if given),
     move each router by up to ``perturb`` times its Frobenius norm, and count
     forced replays of its codec round trip (or of the trace at ``replay_path``)
-    whose selection differs from the recorded one, as one CSV row."""
+    whose selection differs from the recorded one, as one CSV row. The trace
+    must have the run's shape and experts (its first bad entry is sought
+    layer by layer, as replay runs); then each layer replays as one batch."""
     if not 0.0 <= perturb < np.inf:
         raise ValueError(f"perturb must be finite and >= 0, got {perturb}")
     rng = Rng(seed)
@@ -195,19 +199,23 @@ def replay_verify(
         save_trace(record_path, recorded)
     trace = (load_trace(replay_path) if replay_path
              else deserialize_trace(serialize_trace(recorded)))
+    if trace.indices.shape != recorded.indices.shape:
+        raise TraceError(f"trace shape (tokens, layers, k) = {trace.indices.shape} differs "
+                         f"from the run's {recorded.indices.shape}")
+    beyond = (trace.indices >= spec.num_experts).any(axis=2).T
+    if beyond.any():
+        layer, token = np.argwhere(beyond)[0]
+        raise _beyond_experts(trace, token, layer, spec.num_experts)
 
     mismatches = 0
-    # router_probs rejects the non-finite logits of a perturbation near the
-    # float64 limit; numpy's overflow warnings would only repeat that error.
+    # router_probs_batch rejects a logit the perturbation overflows; numpy's warning would repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         for l, (w, _) in enumerate(layers):
             direction = rng.normal_matrix(*w.shape)
             direction /= np.linalg.norm(direction)
             scale = perturb * float(np.linalg.norm(w)) * float(rng.uniform(1)[0])
             w_pert = w + direction * scale
-            for t in range(num_tokens):
-                decision = replay_select(trace, t, l, router_probs(batch[t], w_pert))
-                if not np.array_equal(decision.selected, recorded.entry(t, l)):
-                    mismatches += 1
+            decision = RoutingDecision(router_probs_batch(batch, w_pert), trace.indices[:, l])
+            mismatches += int((decision.selected != recorded.indices[:, l]).any(axis=1).sum())
     return {"tokens": num_tokens, "layers": num_layers, "k": spec.active_k,
             "checked": num_tokens * num_layers, "mismatches": mismatches}

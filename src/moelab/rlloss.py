@@ -140,9 +140,6 @@ class RolloutBatch:
     def group_size(self) -> int:
         return self.rewards.size
 
-    def response_length(self, i: int) -> int:
-        return self.logp_new[i].size
-
 
 def loo_advantage(rewards) -> np.ndarray:
     """Leave-one-out advantages: reward minus the mean of the other G-1.

@@ -321,8 +321,9 @@ def test_criterion_7_expansion():
     from moelab.expansion import frequency_ranking
 
     top = int(frequency_ranking(stats)[0])
+    groups = plan.mapping.reshape(plan.num_groups, -1)
     for g in range(8):
-        if top not in plan.group(g):
+        if top not in groups[g]:
             problems.append(f"group {g} lacks a copy of top expert {top}")
 
     nb, nw = expand_layer(bank, w, plan, noise=0.0)

@@ -8,6 +8,7 @@ from moelab import cli
 from moelab.cli import run
 from moelab.core import Rng
 from moelab.expansion import load_layer, save_layer
+from moelab.replay import RoutingTrace, load_trace, save_trace
 from moelab.rlloss import MaskConfig, RolloutBatch, dump_batch, rl_loss
 from moelab.routing import ExpertBank, MoeLayerSpec
 
@@ -277,6 +278,70 @@ class TestReplayVerify:
         bad.write_bytes(b"XXXX" + bytes(32))
         code = run(["replay-verify", "--replay-trace", str(bad)])
         assert code == 1
+
+    @staticmethod
+    def replay_error(tmp_path, capsys, trace_path, flags):
+        """Replay ``trace_path`` at seed 3; the one stderr line of a run that
+        exits 1 without writing its CSV."""
+        out = tmp_path / "o.csv"
+        code = run(["replay-verify", "--seed", "3", "--replay-trace", str(trace_path),
+                    "--out", str(out)] + flags)
+        err = capsys.readouterr().err
+        assert code == 1 and not out.exists()
+        assert err.count("\n") == 1 and err.startswith("moelab replay-verify: ")
+        return err[len("moelab replay-verify: "):-1]
+
+    @pytest.fixture
+    def trace_64(self, tmp_path):
+        """A 64 x 4 x 8 trace recorded at seed 3 over 64 experts."""
+        path = tmp_path / "t64.bin"
+        argv = ["replay-verify", "--seed", "3", "--tokens", "64", "--record-trace", str(path)]
+        assert run(argv + ["--out", str(tmp_path / "rec.csv")]) == 0
+        return path
+
+    @pytest.mark.parametrize("flags, run_shape", [
+        (["--tokens", "32"], (32, 4, 8)),
+        (["--tokens", "128"], (128, 4, 8)),
+        (["--tokens", "64", "--layers", "5"], (64, 5, 8)),
+        (["--tokens", "64", "--k", "16"], (64, 4, 16)),
+    ], ids=["more_tokens", "fewer_tokens", "fewer_layers", "other_k"])
+    def test_trace_of_another_shape_is_rejected(self, tmp_path, capsys, trace_64, flags,
+                                                run_shape):
+        assert self.replay_error(tmp_path, capsys, trace_64, flags) == (
+            f"trace shape (tokens, layers, k) = (64, 4, 8) differs from the run's {run_shape}")
+
+    def test_trace_beyond_the_run_experts_names_its_entry(self, tmp_path, capsys, trace_64):
+        flags = ["--tokens", "64", "--experts", "32", "--groups", "8"]
+        assert self.replay_error(tmp_path, capsys, trace_64, flags) == (
+            "trace entry for token 0, layer 0 references expert 63 but only 32 experts exist")
+
+    def test_first_entry_beyond_the_experts_is_found_layer_by_layer(self, tmp_path, capsys):
+        # Token 0 of layer 1 comes first token by token, token 1 of layer 0
+        # layer by layer, the order in which the layers replay.
+        path = tmp_path / "t.bin"
+        flags = ["--tokens", "4", "--layers", "2", "--experts", "32", "--groups", "8"]
+        assert run(["replay-verify", "--seed", "3", "--record-trace", str(path),
+                    "--out", str(tmp_path / "rec.csv")] + flags) == 0
+        indices = load_trace(path).indices.astype(np.int64)
+        indices[0, 1, -1], indices[1, 0, -1] = 40, 50
+        save_trace(path, RoutingTrace(indices=indices))
+        assert self.replay_error(tmp_path, capsys, path, flags) == (
+            "trace entry for token 1, layer 0 references expert 50 but only 32 experts exist")
+
+    @pytest.mark.parametrize("seed", [57, 58, 61])
+    def test_zero_mass_on_replayed_selection_exits_1(self, tmp_path, capsys, seed):
+        # The perturbed router underflows to zero mass on a recorded
+        # selection; seeds found by sweeping 0-199 at --perturb 50.
+        out = tmp_path / "o.csv"
+        assert run(["replay-verify", "--perturb", "50", "--seed", str(seed),
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "moelab replay-verify: zero probability mass on the selected set\n"
+        assert not out.exists()
+
+    def test_perturb_50_replays_at_seed_0(self, tmp_path):
+        code, text = run_to_file(tmp_path, "o.csv", ["replay-verify", "--perturb", "50"])
+        assert code == 0 and text.splitlines()[1].endswith(",0")
 
 
 class TestPlanPatches:

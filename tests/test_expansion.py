@@ -106,15 +106,17 @@ class TestPlanExpansion:
         rank1 = np.array([1, 2, 1, 40, 2, 1, 2, 1])
         plan = plan_expansion(make_stats(rank1), factor=4, num_groups=8, strategy="grouped_top")
         assert plan.new_count == 32
+        groups = plan.mapping.reshape(plan.num_groups, -1)
         for g in range(8):
-            assert 3 in plan.group(g)
+            assert 3 in groups[g]
 
     def test_differentiated_groups_are_single_family(self):
         rank1 = np.array([10, 80, 70, 60, 50, 40, 30, 20])
         ranking = frequency_ranking(make_stats(rank1))
         plan = plan_expansion(make_stats(rank1), factor=4, num_groups=8, strategy="differentiated")
+        groups = plan.mapping.reshape(plan.num_groups, -1)
         for g in range(8):
-            fam = np.unique(plan.group(g))
+            fam = np.unique(groups[g])
             assert fam.size == 1 and fam[0] == ranking[g]
 
     def test_grouped_top_coverage_of_high_frequency_experts(self):
@@ -126,8 +128,9 @@ class TestPlanExpansion:
             stats = make_stats(counts)
             top_half = set(frequency_ranking(stats)[:4].tolist())
             plan = plan_expansion(stats, factor=4, num_groups=8, strategy="grouped_top")
+            groups = plan.mapping.reshape(plan.num_groups, -1)
             for g in range(8):
-                assert top_half & set(plan.group(g).tolist())
+                assert top_half & set(groups[g].tolist())
 
     def test_rank2_breaks_rank1_ties(self):
         stats = ActivationStats(rank1=np.array([5, 5, 0]), rank2=np.array([1, 9, 0]))

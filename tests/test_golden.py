@@ -10,7 +10,11 @@ digest.
 """
 
 import hashlib
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,3 +179,20 @@ def run_case(tmp_path, name):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_outputs_match_golden_digests(tmp_path, name):
     assert run_case(tmp_path, name) == DIGESTS[name]
+
+
+def test_corpus_holds_at_two_blas_threads():
+    # Identical argv must give identical bytes on any machine, so the corpus
+    # reruns in a fresh process with two BLAS threads, where a multi-row
+    # matrix product may split and round its work differently.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OMP_NUM_THREADS="2", OPENBLAS_NUM_THREADS="2", MKL_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__,
+         "-k", "not two_blas_threads"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert f"{len(CASES)} passed" in proc.stdout
+

@@ -307,3 +307,27 @@ class TestReplayVerifyRoundTrip:
         self.corrupt_codec(monkeypatch)
         assert run(argv) == 1
         assert capsys.readouterr().err == "replay-verify: 1 of 12 selections diverged\n"
+
+
+class TestReplayVerifyBatched:
+    def test_each_layer_replays_as_one_batch(self, monkeypatch):
+        # No per-token replay: one probability matrix per layer to record
+        # the trace and one per layer to replay it.
+        rows = []
+        real = replay.router_probs_batch
+
+        def counted(tokens, w):
+            rows.append(len(tokens))
+            return real(tokens, w)
+
+        def per_token(*args):
+            raise AssertionError("replay_verify replayed a single token")
+
+        monkeypatch.setattr(replay, "router_probs_batch", counted)
+        monkeypatch.setattr(replay, "replay_select", per_token)
+        monkeypatch.setattr(RoutingTrace, "entry", per_token)
+        spec = MoeLayerSpec(num_experts=16, active_k=4, num_groups=2, model_dim=6, hidden_dim=12)
+        row = replay.replay_verify(spec, "grouped", 20, 3, 10.0, 5)
+        assert row["checked"] == 60 and row["mismatches"] == 0
+        assert rows == [20] * 6
+

@@ -46,7 +46,7 @@ def oracle_loss(batch, cfg):
     for i in range(g):
         peers = [float(batch.rewards[j]) for j in range(g) if j != i]
         adv = float(batch.rewards[i]) - sum(peers) / (g - 1)
-        n = batch.response_length(i)
+        n = batch.logp_new[i].size
         acc = 0.0
         for t in range(n):
             rho = math.exp(float(batch.logp_train[i][t]) - float(batch.logp_rollout[i][t]))
@@ -475,7 +475,7 @@ class TestSerialization:
         dump_batch(batch, buf)
         want = []
         for i in range(batch.group_size):
-            fields = [repr(float(batch.rewards[i])), str(batch.response_length(i))]
+            fields = [repr(float(batch.rewards[i])), str(batch.logp_new[i].size)]
             for block in (batch.logp_train, batch.logp_rollout, batch.logp_new, batch.logp_old):
                 fields.extend(repr(float(v)) for v in block[i])
             want.append(" ".join(fields) + "\n")
@@ -587,7 +587,7 @@ class TestFlatLayoutBitwise:
 class TestFlatLayout:
     def test_snapshot_fields_are_views_of_logp(self):
         batch = random_batch(Rng(951), group=3)
-        lens = [batch.response_length(i) for i in range(3)]
+        lens = [batch.logp_new[i].size for i in range(3)]
         o = np.concatenate(([0], np.cumsum(lens)))
         assert batch.offsets.tolist() == o.tolist()
         assert batch.logp.shape == (4, sum(lens))

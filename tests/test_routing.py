@@ -543,6 +543,31 @@ class TestGateRule:
             s = topk_select(p, 5)
             self.assert_rule(RoutingDecision(p, s).gates, p, s)
 
+    @pytest.mark.parametrize("k", [1, 2, 8, 9, 33])
+    def test_batch_rows_round_as_single_rows(self, k):
+        # Random rows, a uniform row, a two-level tied row, and a -0.0
+        # probability: selected where k > 1, else unselected (zero mass).
+        n = 64
+        rng = Rng(93 + k)
+        rows = [softmax(3.0 * rng.normal(n)) for _ in range(29)]
+        rows += [np.full(n, 1 / n), softmax(np.where(np.arange(n) % 3 == 0, 1.0, 0.0))]
+        p = np.array(rows + [softmax(rng.normal(n))])
+        s = topk_select_batch(p, k)
+        p[-1, s[-1, 0] if k > 1 else (s[-1, 0] + 1) % n] = -0.0
+        d = RoutingDecision(p, s)
+        assert d.gates.shape == (32, k)
+        for t in range(32):
+            self.assert_rule(d.gates[t], p[t], s[t])
+        assert k == 1 or np.signbit(d.gates[-1, 0])
+
+    def test_zero_mass_row_among_valid_rows_raises(self):
+        rng = Rng(94)
+        p = np.array([softmax(rng.normal(8)) for _ in range(5)])
+        s = topk_select_batch(p, 2)
+        p[3, s[3]] = 0.0
+        with pytest.raises(ValueError, match="zero probability mass on the selected set"):
+            RoutingDecision(p, s)
+
 
 class TestRoutingDecisionInvariants:
     # The decision only coerces and derives; its producers check its input
