@@ -4,11 +4,12 @@ Everything downstream computes in float64. Vectors and matrices are plain
 numpy arrays (row-major, C order); the helpers here coerce and validate
 them, and :func:`softmax` / :func:`log_softmax` are the package's only
 normalizers (last axis, max-shifted); each allocates one full-size array,
-its output. Randomness comes from :class:`Rng`, a counter-based generator
-whose output stream depends only on ``(seed, counter)`` so test vectors are
-portable across platforms and languages. Any stretch of the stream can be
-computed from its counters alone, so it is generated in fixed-size blocks
-and a draw needs memory proportional to its output.
+its output, and :func:`softmax` none when given ``out``. Randomness comes
+from :class:`Rng`, a counter-based generator whose output stream depends
+only on ``(seed, counter)`` so test vectors are portable across platforms
+and languages. Any stretch of the stream can be computed from its
+counters alone, so it is generated in fixed-size blocks and a draw needs
+memory proportional to its output.
 :func:`finite_diff_grad` is the independent oracle every analytic-gradient
 rule in this package is checked against. ``_read_framed`` is the one reader
 of the binary file formats' framing (layer checkpoints, routing traces).
@@ -71,11 +72,14 @@ def _mix(seed: np.uint64, start: int, n: int) -> np.ndarray:
     return z
 
 
-def softmax(z: np.ndarray) -> np.ndarray:
+def softmax(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Softmax along the last axis, shifted by the row max for stability.
 
-    The shifted copy is the only full-size array: it becomes the output."""
-    e = z - z.max(axis=-1, keepdims=True)
+    The shifted copy is the only full-size array: it becomes the output.
+    ``out`` follows numpy's convention: given an array of ``z``'s shape and
+    dtype (``z`` itself included), the shifted copy is written into it and
+    returned, and no full-size array is allocated. The bits are the same."""
+    e = np.subtract(z, z.max(axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e

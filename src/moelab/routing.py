@@ -17,8 +17,10 @@ selections are returned in ascending index order. Both choices are
 load-bearing: replay verification compares selections index-for-index.
 Selection sorts nothing: each block's k-th largest probability is a
 threshold, entries above it are taken, and the remaining slots are filled
-with entries equal to it, lowest index first. Non-finite probabilities
-are rejected, since they have no place in that order.
+with entries equal to it, lowest index first. A block that keeps one
+expert takes its ``argmax``, the first maximal index, which is the same
+tie-break without the threshold. Non-finite probabilities are rejected,
+since they have no place in that order.
 
 The routing core is batch-first: :func:`router_probs_batch`, one block
 top-k kernel (plain top-k is a single block), and :func:`select`, the one
@@ -185,7 +187,7 @@ def router_probs_batch(tokens, w_router) -> np.ndarray:
     if not np.isfinite(z).all():
         tok, exp = np.argwhere(~np.isfinite(z))[0]
         raise ValueError(f"non-finite router logit for expert {exp} (token {tok})")
-    return softmax(z)
+    return softmax(z, out=z)
 
 
 def router_probs(x, w_router) -> np.ndarray:
@@ -203,12 +205,16 @@ def _block_topk(probs: np.ndarray, num_groups: int, take: int) -> np.ndarray:
     lowest index first (``eq & (cumsum(eq) <= need)``), which is the
     lower-index tie-break. Blocks without surplus ties keep exactly the
     entries ``>=`` the threshold, so the tie fill runs only on blocks with
-    more tied entries than slots. ``np.nonzero`` on the row-major mask
-    returns each row's indices already ascending.
+    more tied entries than slots. The flat indices of the row-major mask,
+    modulo ``n``, are each row's indices already ascending. A block that
+    keeps one expert needs none of this: ``argmax`` returns the first
+    maximal index, the same lower-index tie-break.
     """
     t, n = probs.shape
     size = n // num_groups
     blocks = probs.reshape(t * num_groups, size)
+    if take == 1:
+        return blocks.argmax(axis=1).reshape(t, num_groups) + np.arange(0, n, size)
     kth = np.partition(blocks, size - take, axis=1)[:, size - take, None]
     keep = blocks >= kth
     if np.count_nonzero(keep) > t * num_groups * take:
@@ -217,7 +223,7 @@ def _block_topk(probs: np.ndarray, num_groups: int, take: int) -> np.ndarray:
         gt, eq = sub > th, sub == th
         need = take - np.count_nonzero(gt, axis=1)[:, None]
         keep[over] = gt | (eq & (np.cumsum(eq, axis=1) <= need))
-    return np.nonzero(keep.reshape(t, n))[1].reshape(t, num_groups * take)
+    return (np.flatnonzero(keep) % n).reshape(t, num_groups * take)
 
 
 def _finite_probs(probs) -> np.ndarray:
@@ -306,7 +312,7 @@ def select(probs, spec: MoeLayerSpec, mode: RoutingMode) -> np.ndarray:
 def _renormalize(p: np.ndarray, s: np.ndarray) -> np.ndarray:
     """The gate rule ``p[s] / p[s].sum()`` on each row of finite ``p`` and
     in-range ``s``; a row rounds exactly as it would alone."""
-    ps = np.take_along_axis(p, s, axis=-1)
+    ps = p[s] if p.ndim == s.ndim == 1 else np.take_along_axis(p, s, axis=-1)
     mass = ps.sum(axis=-1, keepdims=True)
     if not (mass > 0.0).all():
         raise ValueError("zero probability mass on the selected set")
@@ -344,12 +350,17 @@ def _expert_mix(x: np.ndarray, gates: np.ndarray, w_ins, w_outs) -> np.ndarray:
 
 
 def moe_forward(x, bank: ExpertBank, decision: RoutingDecision) -> np.ndarray:
-    """Gate-weighted sum of the selected experts' outputs."""
+    """Gate-weighted sum of the selected experts' outputs for one token's
+    decision (probabilities of shape ``(N,)``); a batch's is refused."""
     xv = as_vector(x, "x")
     if xv.size != bank.model_dim:
         raise ValueError(f"token dim {xv.size} != bank model dim {bank.model_dim}")
-    if decision.probs.size != bank.num_experts:
-        raise ValueError("decision covers a different number of experts than the bank")
+    if decision.probs.shape != (bank.num_experts,):
+        raise ValueError(
+            "decision covers a different number of experts than the bank, or more than "
+            f"one token: moe_forward takes one token's decision, probabilities of shape "
+            f"({bank.num_experts},), got {decision.probs.shape}"
+        )
     sel = decision.selected.tolist()
     w_ins = [bank.w_in[i] for i in sel]  # views: no gathered copy of the weights
     return _expert_mix(xv, decision.gates, w_ins, [bank.w_out[i] for i in sel])

@@ -233,3 +233,13 @@ class TestSoftmax:
         out, peak = traced_peak(lambda: fn(z))
         assert np.array_equal(z, before)
         assert peak <= out.nbytes + (1 << 20)
+
+    # With ``out`` (the input itself here), the same bits land there and no
+    # full-size array is allocated.
+    def test_out_takes_the_result_bitwise(self):
+        z = Rng(4).normal_matrix(512, 1024)
+        want = softmax(z)
+        got, peak = traced_peak(lambda: softmax(z, out=z))
+        assert got is z
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert peak <= 1 << 20

@@ -298,6 +298,15 @@ class TestMoeForward:
         with pytest.raises(ValueError, match="decision covers a different number of experts"):
             moe_forward(np.ones(3), bank, decision)
 
+    # A batch's decision, even of one row, is refused naming its shape.
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_batched_decision_rejected(self, rows):
+        bank = linear_bank(8, 3, np.ones(8))
+        decision = RoutingDecision(np.full((rows, 8), 0.125), np.tile([0, 3], (rows, 1)))
+        with pytest.raises(ValueError, match=rf"one token's decision, probabilities of shape "
+                                             rf"\(8,\), got \({rows}, 8\)"):
+            moe_forward(np.ones(3), bank, decision)
+
 
 class TestSteGateValue:
     def test_forward_identity_with_gate_weights(self):
@@ -432,6 +441,28 @@ class TestBatchForms:
             assert np.array_equal(grouped[t], brute_grouped(p[t], spec))
 
 
+class TestBatchPeakMemory:
+    """Batched routing allocates about its output, not copies of its input."""
+
+    # The logits buffer becomes the probabilities; next to it only the
+    # finiteness mask (1/8 of it) is full-size.
+    def test_router_probs_batch_peak_is_its_output(self):
+        rng = Rng(85)
+        x, w = rng.normal_matrix(4096, 16), rng.normal_matrix(256, 16)
+        p, peak = traced_peak(lambda: router_probs_batch(x, w))
+        assert peak <= 1.25 * p.nbytes
+
+    # One expert per block is an argmax: no partitioned copy and no keep
+    # mask, only the finiteness mask and the (T, G) indices.
+    def test_grouped_one_per_block_peak_is_below_the_probs(self):
+        spec = MoeLayerSpec(num_experts=256, active_k=8, num_groups=8, model_dim=1, hidden_dim=1)
+        rng = Rng(86)
+        p = router_probs_batch(rng.normal_matrix(4096, 16), rng.normal_matrix(256, 16))
+        sel, peak = traced_peak(lambda: select(p, spec, "grouped"))
+        assert sel.shape == (4096, 8)
+        assert peak <= 0.25 * p.nbytes
+
+
 # A few dyadic values, both zeros among them: exact ties in almost every
 # block, and subset sums the enumeration oracles add exactly.
 TIED = st.sampled_from([-0.0, 0.0, 0.125, 0.25, 0.5])
@@ -458,6 +489,9 @@ class TestSelectionProperties:
     @example((np.array([[0.0, -0.0, 0.125, 0.125]]), 2, 2))  # take == group size
     @example((np.array([[0.125, 0.5, 0.125, 0.25, 0.125]]), 1, 3))  # one group, straddling tie
     @example((np.array([[-0.0, 0.0, -0.0, 0.0, 0.0, -0.0]]), 3, 1))  # signed-zero ties
+    @example((np.array([[0.25] * 6,  # take == 1 over rows: all equal,
+                        [-0.0, 0.0, -0.0, 0.0, 0.0, -0.0],  # signed zeros,
+                        [0.125, 0.5, 0.5, 0.5, 0.5, 0.125]]), 2, 1))  # straddling ties
     def test_grouped_matches_oracle(self, case):
         p, groups, take = case
         n = p.shape[1]
