@@ -7,9 +7,11 @@ normalizers (last axis, max-shifted); each allocates one full-size array,
 its output, and :func:`softmax` none when given ``out``. Randomness comes
 from :class:`Rng`, a counter-based generator whose output stream depends
 only on ``(seed, counter)`` so test vectors are portable across platforms
-and languages. Any stretch of the stream can be computed from its
-counters alone, so it is generated in fixed-size blocks and a draw needs
-memory proportional to its output.
+and languages. The stream is one formula evaluated at given counters, so
+any stretch of it can be computed from its counters alone: a draw is
+generated in fixed-size blocks and needs memory proportional to its
+output, and a normal draw can be reserved now (:meth:`Rng.normal_draw`,
+a :class:`NormalDraw`) and evaluated later at just the positions needed.
 :func:`finite_diff_grad` is the independent oracle every analytic-gradient
 rule in this package is checked against. ``_read_framed`` is the one reader
 of the binary file formats' framing (layer checkpoints, routing traces).
@@ -20,21 +22,24 @@ from __future__ import annotations
 import io
 import struct
 from collections.abc import Callable
-from typing import BinaryIO
+from typing import BinaryIO, NamedTuple
 
 import numpy as np
 
 __all__ = [
-    "Rng", "finite_diff_grad", "as_vector", "as_matrix", "softmax", "log_softmax",
+    "Rng", "NormalDraw", "finite_diff_grad", "as_vector", "as_matrix", "softmax", "log_softmax",
 ]
 
 _U64 = np.uint64
 _GOLDEN = _U64(0x9E3779B97F4A7C15)
 _MIX1 = _U64(0xBF58476D1CE4E5B9)
 _MIX2 = _U64(0x94D049BB133111EB)
-# Draws per generation block. Three block-sized temporaries (384 KiB) stay
-# in a core's L2 cache; against 8192, one BLAS thread, 2**21-value draws
-# took ~8% less time per value, and 32768 only ~3% less again.
+# Values per generation block. A normal block holds at most five
+# block-sized temporaries at once (its positions, two counters per value
+# and their shift buffer: 640 KiB), a uniform block two. With three
+# (384 KiB), 2**21-value draws took ~8% less time per value than at 8192,
+# and 32768 only ~3% less again; with five, 8192, 16384 and 32768 measured
+# within run-to-run noise.
 _BLOCK = 16384
 
 
@@ -54,13 +59,15 @@ def as_matrix(x, name: str = "m") -> np.ndarray:
     return a
 
 
-def _mix(seed: np.uint64, start: int, n: int) -> np.ndarray:
-    """The finalized draws of counters ``start, ..., start + n - 1``: the
-    one statement of the stream formula in :class:`Rng`."""
-    z = np.arange(start + 1, start + n + 1, dtype=np.uint64)
+def _mix(seed: np.uint64, counters: np.ndarray) -> np.ndarray:
+    """Finalize a ``uint64`` array of counters, in place, into their draws
+    and return it: the one statement of the stream formula in :class:`Rng`.
+    ``(i + 1) * golden + seed`` is computed as ``i * golden + (golden + seed)``,
+    the same value modulo 2**64."""
+    z = counters
     t = np.empty_like(z)
     z *= _GOLDEN  # uint64 arrays wrap modulo 2**64
-    z += seed
+    z += _U64((int(seed) + int(_GOLDEN)) & 0xFFFFFFFFFFFFFFFF)
     np.right_shift(z, _U64(30), out=t)
     z ^= t
     z *= _MIX1
@@ -70,6 +77,13 @@ def _mix(seed: np.uint64, start: int, n: int) -> np.ndarray:
     np.right_shift(z, _U64(31), out=t)
     z ^= t
     return z
+
+
+def _unit(z: np.ndarray, out: np.ndarray) -> None:
+    """Write the uniform doubles in [0, 1) of draws ``z`` (their top 53
+    bits) into ``out``; ``z`` is shifted in place."""
+    z >>= _U64(11)
+    np.multiply(z, 2.0**-53, out=out)
 
 
 def softmax(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -95,6 +109,51 @@ def log_softmax(z: np.ndarray) -> np.ndarray:
     return np.subtract(z, m + np.log(e.sum(axis=-1, keepdims=True)), out=e)
 
 
+class NormalDraw(NamedTuple):
+    """A reserved ``Rng.normal(n)`` draw: the counters are claimed, and any
+    of its values can be evaluated later from them alone.
+
+    Value ``j`` is Box-Muller on the uniforms of counters ``start + j`` and
+    ``start + n + j`` of the stream ``seed``, so :meth:`at` computes only
+    the positions it is asked for, bit for bit what ``normal(n)`` holds there.
+    """
+
+    seed: np.uint64
+    start: int
+    n: int
+
+    def at(self, positions) -> np.ndarray:
+        """``normal(n)[positions]`` for integer positions in ``[0, n)`` of any
+        shape, unsorted or repeated; the values elsewhere are not computed."""
+        p = np.asarray(positions, dtype=np.int64)
+        if p.size and (p.min() < 0 or p.max() >= self.n):
+            raise ValueError(f"positions must lie in [0, {self.n})")
+        out = np.empty(p.shape)
+        self._fill(p.astype(np.uint64).ravel(), out.reshape(-1))
+        return out
+
+    def _fill(self, positions: np.ndarray, out: np.ndarray) -> None:
+        """Write the values at 1-D in-range ``uint64`` ``positions`` into
+        ``out``: the one statement of Box-Muller. Both uniform halves come
+        from one :func:`_mix` over the positions' two counters each."""
+        b = positions.size
+        z = np.empty(2 * b, dtype=np.uint64)
+        np.add(positions, _U64(self.start), out=z[:b])
+        np.add(positions, _U64(self.start + self.n), out=z[b:])
+        _mix(self.seed, z)
+        r = np.empty(b)
+        _unit(z[:b], r)
+        _unit(z[b:], out)
+        # 1 - u1 lies in (0, 1], keeping the log argument strictly positive.
+        np.negative(r, out=r)
+        np.log1p(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        out *= 2.0 * np.pi
+        np.cos(out, out=out)
+        out *= r
+
+
 class Rng:
     """Deterministic counter-based random generator.
 
@@ -115,8 +174,10 @@ class Rng:
 
     Since any draw is computed from its counter alone, each call reserves
     its counter range and then fills a preallocated output in blocks of
-    ``_BLOCK`` draws. The stream does not depend on the block size, and a
+    ``_BLOCK`` values. The stream does not depend on the block size, and a
     call needs the memory of its output plus a few block-sized temporaries.
+    :meth:`normal_draw` reserves the counters of ``normal(n)`` without
+    drawing; ``normal(n)`` is that reserved draw evaluated block by block.
 
     Instances are single-owner mutable state; never share one across
     threads. Identical seeds replay identical streams bit-for-bit.
@@ -139,38 +200,30 @@ class Rng:
         self._counter += n
         return start
 
-    def _fill_uniform(self, start: int, out: np.ndarray) -> None:
-        """Write the uniforms of counters ``start, start + 1, ...`` into ``out``."""
-        z = _mix(self._seed, start, out.size)
-        z >>= _U64(11)
-        np.multiply(z, 2.0**-53, out=out)
-
     def uniform(self, n: int) -> np.ndarray:
         """n deterministic doubles in [0, 1)."""
         start = self._reserve(n)
         out = np.empty(n)
         for s in range(0, n, _BLOCK):
-            self._fill_uniform(start + s, out[s : s + _BLOCK])
+            o = out[s : s + _BLOCK]
+            _unit(_mix(self._seed, np.arange(start + s, start + s + o.size, dtype=np.uint64)), o)
         return out
 
+    def normal_draw(self, n: int) -> NormalDraw:
+        """Reserve the 2n counters of ``normal(n)`` and draw nothing yet: the
+        returned record evaluates any of the n values later, on demand."""
+        start = self._reserve(n)
+        self._reserve(n)
+        return NormalDraw(self._seed, start, n)
+
     def normal(self, n: int) -> np.ndarray:
-        """n standard-normal deviates via Box-Muller (consumes 2n draws)."""
-        start1 = self._reserve(n)
-        start2 = self._reserve(n)
+        """n standard-normal deviates via Box-Muller (consumes 2n draws): the
+        reserved draw evaluated block by block."""
+        draw = self.normal_draw(n)
         out = np.empty(n)
         for s in range(0, n, _BLOCK):
             o = out[s : s + _BLOCK]
-            r = np.empty(o.size)
-            self._fill_uniform(start1 + s, r)
-            # 1 - u1 lies in (0, 1], keeping the log argument strictly positive.
-            np.negative(r, out=r)
-            np.log1p(r, out=r)
-            r *= -2.0
-            np.sqrt(r, out=r)
-            self._fill_uniform(start2 + s, o)
-            o *= 2.0 * np.pi
-            np.cos(o, out=o)
-            o *= r
+            draw._fill(np.arange(s, s + o.size, dtype=np.uint64), o)
         return out
 
     def normal_matrix(self, rows: int, cols: int) -> np.ndarray:

@@ -24,7 +24,10 @@ the policy's rounding applied to each class; :func:`divergence_trials`
 compares policies' token log-probabilities against the full-precision
 reference engine with the sampled-k1 drift estimator, on one seeded layer
 that all of them share (:func:`divergence_trial` is its one-policy view),
-and :func:`precision_sweep` returns the precision-sweep rows.
+and :func:`precision_sweep` returns the precision-sweep rows. A trial's
+expert bank is reserved, not drawn (``routing.ReservedBank``): unselected
+experts are neither drawn nor rounded, so its cost follows the activated
+experts rather than the expert count, with the bits of the drawn bank.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import numpy as np
 
 from moelab.core import Rng, as_vector, log_softmax
 from moelab.rlloss import EngineKl
-from moelab.routing import ExpertBank, MoeLayerSpec, _expert_mix, route_token
+from moelab.routing import ExpertBank, MoeLayerSpec, ReservedBank, _expert_mix, route_token
 
 __all__ = [
     "QuantizedFp8",
@@ -241,14 +244,16 @@ POLICIES: dict[str, PrecisionPolicy] = {
 
 
 def mixed_forward(
-    x, bank: ExpertBank, w_router, head, spec: MoeLayerSpec, policy: PrecisionPolicy
+    x, bank: ExpertBank | ReservedBank, w_router, head, spec: MoeLayerSpec,
+    policy: PrecisionPolicy,
 ) -> np.ndarray:
     """Expert-mixture forward with per-class weight rounding; returns logits.
 
     The selected experts' input and output weights pass through the expert
     format as two stacks (one tensor per weight matrix), the router through
     the non-expert format, and the head through the head format. Unselected
-    experts are not rounded. The mixture sums in selection order, and all
+    experts are not rounded, and from a :class:`~moelab.routing.ReservedBank`
+    not drawn either. The mixture sums in selection order, and all
     arithmetic stays in float64.
     """
     xv = as_vector(x, "x")
@@ -280,13 +285,15 @@ def divergence_trials(
     seed reproduces the trial bit-for-bit.
 
     The layer, reference forward and sample counts depend only on the seed
-    and are shared by all the policies.
+    and are shared by all the policies. The bank is reserved in
+    ``ExpertBank.random``'s counter order, so only the experts some engine
+    routes to are drawn, once each, with the drawn bank's bits.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     spec = _TOY_SPEC
     rng = Rng(seed)
-    bank = ExpertBank.random(rng, spec)
+    bank = ReservedBank(rng, spec)
     w_router = rng.normal_matrix(spec.num_experts, spec.model_dim)
     head = rng.normal_matrix(_TOY_VOCAB, spec.model_dim) * (4.0 / np.sqrt(spec.model_dim))
     x = rng.normal(spec.model_dim)

@@ -40,6 +40,11 @@ and ``precision.mixed_forward`` share one expert-mixture loop, which sums
 the experts in selection order. It stays per token: a segment-GEMM 1-row
 view was bitwise equal but took 309-347 us a call against 138-175 us for
 the loop (N=256, k=8, d=64, h=128), so it waits for a multi-row caller.
+
+:meth:`ExpertBank.random` draws every expert. :class:`ReservedBank` claims
+the same counters in the same order and evaluates an expert's weights only
+when it is indexed, so a forward that reads only its routed experts costs
+k experts' draws, not N.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ __all__ = [
     "RoutingMode",
     "MoeLayerSpec",
     "ExpertBank",
+    "ReservedBank",
     "RoutingDecision",
     "router_probs",
     "topk_select",
@@ -143,12 +149,60 @@ class ExpertBank:
     @classmethod
     def random(cls, rng, spec: MoeLayerSpec) -> "ExpertBank":
         """Gaussian bank with 1/sqrt(fan-in) scaling, drawn w_in then w_out."""
-        n, d, h = spec.num_experts, spec.model_dim, spec.hidden_dim
-        w_in = rng.normal(n * h * d).reshape(n, h, d)
-        w_in /= np.sqrt(d)
-        w_out = rng.normal(n * d * h).reshape(n, d, h)
-        w_out /= np.sqrt(h)
+        w_in, w_out = (_fan_in_scaled(rng.normal(n * a * b).reshape(n, a, b))
+                       for n, a, b in _stack_shapes(spec))
         return cls(w_in, w_out)
+
+
+def _stack_shapes(spec: MoeLayerSpec) -> tuple[tuple[int, int, int], ...]:
+    """The shapes of ``w_in`` and ``w_out``, in the order a random bank draws them."""
+    n, d, h = spec.num_experts, spec.model_dim, spec.hidden_dim
+    return (n, h, d), (n, d, h)
+
+
+def _fan_in_scaled(w: np.ndarray) -> np.ndarray:
+    """``w`` divided in place by the square root of its last axis, each
+    matrix's fan-in: the scale of a random bank's weights."""
+    w /= np.sqrt(w.shape[-1])
+    return w
+
+
+class _ReservedStack:
+    """One weight stack of ``ExpertBank.random``, reserved rather than drawn.
+
+    Indexing by a 1-D array of experts returns their matrices stacked, bit
+    for bit what the drawn bank holds there. Each expert's matrix is
+    evaluated from the reserved draw the first time it is asked for and
+    kept for later lookups; the other experts are never drawn.
+    """
+
+    def __init__(self, draw, shape: tuple[int, int, int]):
+        self._draw, self._shape = draw, shape
+        self._matrices: dict[int, np.ndarray] = {}
+
+    def __getitem__(self, experts) -> np.ndarray:
+        wanted = np.asarray(experts, dtype=np.int64).tolist()
+        new = [e for e in wanted if e not in self._matrices]
+        if new:
+            _, a, b = self._shape
+            positions = np.array(new)[:, None] * (a * b) + np.arange(a * b)
+            matrices = _fan_in_scaled(self._draw.at(positions).reshape(len(new), a, b))
+            self._matrices.update(zip(new, matrices))
+        return np.array([self._matrices[e] for e in wanted])
+
+
+class ReservedBank:
+    """The counters of ``ExpertBank.random(rng, spec)``, reserved in its draw
+    order, with stacks that evaluate only the experts they are indexed by.
+
+    It stands in for the drawn bank where only ``w_in[experts]`` and
+    ``w_out[experts]`` are read (``precision.mixed_forward``), so a caller
+    that routes to k of N experts draws k experts' weights, not N.
+    """
+
+    def __init__(self, rng, spec: MoeLayerSpec):
+        self.w_in, self.w_out = (_ReservedStack(rng.normal_draw(n * a * b), (n, a, b))
+                                 for n, a, b in _stack_shapes(spec))
 
 
 @dataclass

@@ -83,9 +83,15 @@ class TestRng:
             Rng(5).integers(3, 0)
 
     def test_negative_count_rejected(self):
-        for draw in (Rng(0).uniform, Rng(0).normal, lambda n: Rng(0).integers(n, 3)):
+        for draw in (Rng(0).uniform, Rng(0).normal, Rng(0).normal_draw,
+                     lambda n: Rng(0).integers(n, 3)):
             with pytest.raises(ValueError, match="draw count must be >= 0, got -1"):
                 draw(-1)
+
+    @pytest.mark.parametrize("bad", [-1, 8])
+    def test_reserved_position_out_of_range_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"positions must lie in \[0, 8\)"):
+            Rng(0).normal_draw(8).at([0, bad])
 
     @pytest.mark.parametrize("rows, cols", [(-2, -3), (-1, 16), (3, -1)])
     def test_negative_matrix_shape_reserves_nothing(self, rows, cols):
@@ -98,7 +104,8 @@ class TestRng:
 class TestBlockedGeneration:
     """Block generation against the unblocked algorithm, bit for bit, at
     sizes around the block boundary, from a nonzero starting counter, with
-    the three methods interleaved on one generator."""
+    the three methods interleaved on one generator, and a reserved normal
+    draw evaluated at chosen positions."""
 
     SIZES = [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]
 
@@ -121,6 +128,27 @@ class TestBlockedGeneration:
             self.assert_bitwise(rng.integers(n, 1000), want)
             start += n
             assert rng.counter == start
+
+    # A reserved normal draw, whole and at unsorted, repeated positions of
+    # any shape, evaluated after a later draw; the counter moves as normal(n).
+    @pytest.mark.parametrize("seed", [0, 7, 2**63 + 5])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_reserved_normal_matches_unblocked_stream(self, seed, n):
+        rng = Rng(seed)
+        rng.uniform(5)
+        draw = rng.normal_draw(n)
+        twin = Rng(seed)
+        twin.uniform(5)
+        twin.normal(n)
+        assert rng.counter == twin.counter == 5 + 2 * n
+        self.assert_bitwise(rng.normal(3), twin.normal(3))
+        want = _unblocked_normal(seed, 5, n)
+        self.assert_bitwise(draw.at(np.arange(n)), want)
+        if n:
+            scattered = Rng(1).integers(3 * n + 1, n)  # unsorted, and repeats by pigeonhole
+            self.assert_bitwise(draw.at(scattered), want[scattered])
+            grid = scattered[: 2 * (scattered.size // 2)].reshape(2, -1)
+            self.assert_bitwise(draw.at(grid), want[grid])
 
     # Only a few block-sized temporaries may exist next to the output;
     # full-length temporaries would take about 5x the output.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from moelab import precision
-from moelab.core import Rng, log_softmax
+from moelab.core import NormalDraw, Rng, log_softmax
 from moelab.precision import (
     POLICIES,
     PrecisionPolicy,
@@ -12,6 +12,7 @@ from moelab.precision import (
     bf16_round,
     dequantize_fp8,
     divergence_trial,
+    divergence_trials,
     fp32_round,
     fp8_grid,
     mixed_forward,
@@ -74,6 +75,19 @@ class TestQuantizeFp8:
             assert dequantize_fp8(q.codes, 1.0)[0] == v
             finite += 1
         assert finite == 254 and nans == 2
+
+    # Every midpoint between adjacent codes at scale 1 goes to the even code;
+    # one ulp below it rounds down and one ulp above rounds up, either sign.
+    def test_midpoints_tie_to_even(self):
+        values = np.array([e4m3_value(c) for c in range(127)])
+        mid = (values[:-1] + values[1:]) / 2.0
+        lower = np.arange(126)
+        tie = np.where(lower % 2 == 0, lower, lower + 1)
+        for probe, want in [(mid, tie), (np.nextafter(mid, 0.0), lower),
+                            (np.nextafter(mid, np.inf), lower + 1)]:
+            for sign, bit in [(1.0, 0x00), (-1.0, 0x80)]:
+                codes = quantize_fp8(sign * probe, scale=1.0).codes
+                assert np.array_equal(codes, (want | bit).astype(np.uint8)), sign
 
     def test_forced_scale_saturates(self):
         q = quantize_fp8(np.array([500.0]), scale=1.0)
@@ -271,16 +285,25 @@ def longhand_mixed_forward(x, bank, w_router, head, spec, pol):
     return round_matrix(head, pol.lm_head) @ y
 
 
-def materialized_trial(policy, seed, samples, vocab=24):
-    """The divergence trial written out longhand: the longhand mixed forward,
-    and the k1 mean taken over an explicit token stream gathered from both
-    log-prob vectors."""
-    spec = MoeLayerSpec(num_experts=8, active_k=2, num_groups=1, model_dim=16, hidden_dim=32)
+TOY_SPEC = MoeLayerSpec(num_experts=8, active_k=2, num_groups=1, model_dim=16, hidden_dim=32)
+# The toy layer at a sparser expert count, same k, d and h.
+SPARSE_SPEC = MoeLayerSpec(num_experts=256, active_k=2, num_groups=1, model_dim=16, hidden_dim=32)
+
+
+def materialized_layer(seed, spec, vocab=24):
+    """The trial's layer with every expert drawn: bank, router, head, token."""
     rng = Rng(seed)
     bank = ExpertBank.random(rng, spec)
     w_router = rng.normal_matrix(spec.num_experts, spec.model_dim)
     head = rng.normal_matrix(vocab, spec.model_dim) * (4.0 / np.sqrt(spec.model_dim))
-    x = rng.normal(spec.model_dim)
+    return bank, w_router, head, rng.normal(spec.model_dim)
+
+
+def materialized_trial(policy, seed, samples, vocab=24, spec=TOY_SPEC):
+    """The divergence trial written out longhand: the whole bank drawn, the
+    longhand mixed forward, and the k1 mean taken over an explicit token
+    stream gathered from both log-prob vectors."""
+    bank, w_router, head, x = materialized_layer(seed, spec, vocab)
 
     ref_logits = longhand_mixed_forward(x, bank, w_router, head, spec, POLICIES["ref64"])
     pol_logits = longhand_mixed_forward(x, bank, w_router, head, spec, policy)
@@ -306,6 +329,42 @@ class TestDivergenceTrials:
                 assert {k: v.hex() for k, v in got.items()} == {
                     k: v.hex() for k, v in want.items()
                 }, (name, seed)
+
+    # At 256 experts a trial draws two to four of them: the others' weights
+    # never exist, yet every bit matches the trial over the whole drawn bank.
+    def test_sparse_layer_matches_materialized_bank_bitwise(self, monkeypatch):
+        monkeypatch.setattr(precision, "_TOY_SPEC", SPARSE_SPEC)
+        for seed in (0, 5, 2**31 + 5):
+            for name, policy in sorted(POLICIES.items()):
+                got = divergence_trial(policy, seed, samples=1000)
+                want = materialized_trial(policy, seed, 1000, spec=SPARSE_SPEC)
+                assert {k: v.hex() for k, v in got.items()} == {
+                    k: v.hex() for k, v in want.items()
+                }, (name, seed)
+
+    # The bank is evaluated only for the experts some engine routes to, and
+    # each of those only once: |routed experts| x 2 stacks x h x d values.
+    @pytest.mark.parametrize("spec", [TOY_SPEC, SPARSE_SPEC], ids=["N8", "N256"])
+    def test_trial_draws_only_the_routed_experts(self, monkeypatch, spec):
+        evaluated = []
+        real_at = NormalDraw.at
+
+        def counting(draw, positions):
+            evaluated.append(np.size(positions))
+            return real_at(draw, positions)
+
+        monkeypatch.setattr(NormalDraw, "at", counting)
+        monkeypatch.setattr(precision, "_TOY_SPEC", spec)
+        policies = list(POLICIES.values())
+        for seed in range(12):
+            evaluated.clear()
+            divergence_trials(policies, seed, samples=64)
+            _, w_router, _, x = materialized_layer(seed, spec)
+            formats = {"fp64"} | {p.non_expert for p in policies}
+            routed = set()
+            for fmt in formats:
+                routed |= set(route_token(x, round_matrix(w_router, fmt), spec).selected.tolist())
+            assert sum(evaluated) == len(routed) * 2 * spec.hidden_dim * spec.model_dim, seed
 
     @pytest.mark.parametrize("samples", [0, -3])
     def test_nonpositive_samples_rejected(self, samples):

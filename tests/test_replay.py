@@ -217,6 +217,11 @@ class TestTraceSerialization:
         with pytest.raises(TraceError, match="ascending"):
             RoutingTrace(indices=np.array([[[1, 0]]], dtype=np.uint16))
 
+    # A repeated index is ascending but not strictly: only distinct indices pass.
+    def test_repeated_index_rejected(self):
+        with pytest.raises(TraceError, match="distinct ascending"):
+            RoutingTrace(indices=[[[3, 3]]])
+
     def test_two_dimensional_indices_rejected(self):
         with pytest.raises(TraceError, match=r"trace indices must be \(tokens, layers, k\)"):
             RoutingTrace(indices=np.zeros((2, 2), dtype=np.uint16))

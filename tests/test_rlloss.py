@@ -101,6 +101,10 @@ class TestMaskRatio:
         with pytest.raises(ValueError, match="importance ratio must be >= 0"):
             mask_ratio(-0.1, CFG)
 
+    # Zero is a valid ratio (the train engine gives the token no mass): masked, not rejected.
+    def test_zero_is_masked_not_rejected(self):
+        assert mask_ratio(0.0, CFG) == 0.0
+
     def test_widening_never_masks_a_passing_token(self):
         rng = Rng(3)
         for _ in range(300):
