@@ -153,7 +153,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p, _cmd_replay_verify)
 
     p = subs.add_parser("plan-patches", help="adaptive patch plan for a signal")
-    p.add_argument("--len", type=int, required=True, dest="length")
+    p.add_argument("--len", type=int, required=True)
     p.add_argument("--rate", type=float, default=100.0)
     p.add_argument("--fmin", type=int, default=1)
     p.add_argument("--fmax", type=int, default=4096)
@@ -269,8 +269,8 @@ def _cmd_replay_verify(args) -> int:
 
 
 def _cmd_plan_patches(args) -> int:
-    plan = plan_patches(args.length, rate=args.rate, f_min=args.fmin, f_max=args.fmax)
-    _write_rows(args.out, [{"len": args.length, "rate": float(args.rate),
+    plan = plan_patches(args.len, rate=args.rate, f_min=args.fmin, f_max=args.fmax)
+    _write_rows(args.out, [{"len": args.len, "rate": float(args.rate),
                             "patch_size": plan.patch_size, "stride": plan.stride,
                             "n_frames": plan.n_frames}])
     return 0

@@ -13,15 +13,16 @@ generated in fixed-size blocks and needs memory proportional to its
 output, and a normal draw can be reserved now (:meth:`Rng.normal_draw`,
 a :class:`NormalDraw`) and evaluated later at just the positions needed.
 :func:`finite_diff_grad` is the independent oracle every analytic-gradient
-rule in this package is checked against. ``_read_framed`` is the one reader
-of the binary file formats' framing (layer checkpoints, routing traces).
+rule in this package is checked against. A :class:`_Format` is the one
+writer and reader of a binary file layout (checkpoints, traces).
 """
 
 from __future__ import annotations
 
 import io
+import math
 import struct
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from typing import BinaryIO, NamedTuple
 
 import numpy as np
@@ -272,35 +273,62 @@ def finite_diff_grad(
     return grad
 
 
-def _read_framed(
-    fp: BinaryIO, header: struct.Struct, magic: bytes, version: int,
-    payload_size: Callable[..., int], what: str, error: type[ValueError],
-) -> tuple[list[int], bytes]:
-    """Read one framed record that fills a seekable stream from its position:
-    ``header`` (magic, version, nonzero dimensions), then
-    ``payload_size(*dimensions)`` bytes.
+class _Format(NamedTuple):
+    """A binary file layout, declared once: a little-endian header (``magic``,
+    version u16, one nonzero field per ``dims`` entry, name -> struct code),
+    then the arrays ``shapes(*dims)`` in order as row-major ``dtype``, which
+    end the file. :meth:`write` and :meth:`read` follow the declaration
+    alone; each failure raises ``error`` naming the format and the check."""
 
-    The declared size is checked against the bytes left before the payload
-    is read, so a crafted header cannot make the reader allocate more than
-    the input holds; bytes after the payload are rejected. Each failure
-    raises ``error`` naming ``what`` and the check. Returns (dimensions, payload).
-    """
-    raw = fp.read(header.size)
-    if len(raw) < header.size:
-        raise error(f"truncated {what} header: needs {header.size} bytes, got {len(raw)}")
-    got_magic, got_version, *fields = header.unpack(raw)
-    if got_magic != magic:
-        raise error(f"bad {what} magic {got_magic!r}")
-    if got_version != version:
-        raise error(f"unsupported {what} version {got_version}")
-    if not all(fields):  # an empty record would reshape to dimensions no array can hold
-        raise error(f"{what} header declares a zero dimension: {tuple(fields)}")
-    size = payload_size(*fields)
-    start = fp.tell()
-    available = fp.seek(0, io.SEEK_END) - start
-    if size > available:
-        raise error(f"truncated {what} payload: needs {size} bytes, got {available}")
-    if size < available:
-        raise error(f"{available - size} trailing bytes after {what} payload")
-    fp.seek(start)
-    return fields, fp.read(size)
+    name: str
+    error: type[ValueError]
+    magic: bytes
+    version: int
+    dims: dict[str, str]
+    dtype: str
+    shapes: Callable[..., list[tuple[int, ...]]]
+
+    def write(self, fp: BinaryIO, dims: Sequence[int], arrays: Sequence[np.ndarray]) -> None:
+        """Write the header of ``dims``, then each array. A zero dimension, or
+        one its header field cannot hold, is refused before any byte."""
+        if not all(dims):  # read refuses a zero dimension
+            raise self.error(f"{self.name} would declare a zero dimension: {tuple(dims)}")
+        for (field, code), value in zip(self.dims.items(), dims):
+            bits = 8 * struct.calcsize("<" + code)
+            if value >= 1 << bits:
+                raise self.error(f"{self.name} {field} {value} does not fit its u{bits} header field")
+        fp.write(struct.pack("<4sH" + "".join(self.dims.values()), self.magic, self.version, *dims))
+        for a in arrays:
+            fp.write(np.ascontiguousarray(a, dtype=self.dtype).tobytes())
+
+    def read(self, fp: BinaryIO) -> list[np.ndarray]:
+        """The flat payload, then an owned native-order copy of each array, of a
+        file filling a seekable stream from its position. The declared size
+        is checked against the bytes left before the payload is read, so a
+        crafted header cannot make the reader allocate more than the input
+        holds; bytes after the payload are rejected."""
+        header = struct.Struct("<4sH" + "".join(self.dims.values()))
+        raw = fp.read(header.size)
+        if len(raw) < header.size:
+            raise self.error(f"truncated {self.name} header: needs {header.size} bytes, got {len(raw)}")
+        magic, version, *dims = header.unpack(raw)
+        if magic != self.magic:
+            raise self.error(f"bad {self.name} magic {magic!r}")
+        if version != self.version:
+            raise self.error(f"unsupported {self.name} version {version}")
+        if not all(dims):  # an empty record would reshape to dimensions no array can hold
+            raise self.error(f"{self.name} header declares a zero dimension: {tuple(dims)}")
+        shapes = self.shapes(*dims)
+        counts = [math.prod(shape) for shape in shapes]
+        size = np.dtype(self.dtype).itemsize * sum(counts)
+        start = fp.tell()
+        available = fp.seek(0, io.SEEK_END) - start
+        if size > available:
+            raise self.error(f"truncated {self.name} payload: needs {size} bytes, got {available}")
+        if size < available:
+            raise self.error(f"{available - size} trailing bytes after {self.name} payload")
+        fp.seek(start)
+        flat = np.frombuffer(fp.read(size), dtype=self.dtype)
+        parts = np.split(flat, np.cumsum(counts)[:-1])
+        return [flat] + [part.reshape(shape).astype(flat.dtype.newbyteorder("="))
+                         for part, shape in zip(parts, shapes)]

@@ -15,19 +15,18 @@ deterministic selection. Two seeding strategies are provided:
 
 Activation frequency comes from a calibration batch routed through the
 original layer. Layer checkpoints round-trip through a little-endian
-binary format so expansion is drivable from the command line; the
-framing rules are ``core._read_framed``'s, shared with routing traces.
+binary format, declared once as a ``core._Format`` as routing traces are,
+so expansion is drivable from the command line.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import BinaryIO, Literal
 
 import numpy as np
 
-from moelab.core import Rng, _read_framed, as_matrix
+from moelab.core import Rng, _Format, as_matrix
 from moelab.routing import ExpertBank, router_probs_batch, topk_select_batch
 
 __all__ = [
@@ -45,13 +44,13 @@ __all__ = [
 
 ExpansionStrategy = Literal["grouped_top", "differentiated"]
 
-_MAGIC = b"MOEC"
-_VERSION = 1
-_HEADER = struct.Struct("<4sHIII")
-
 
 class CheckpointError(ValueError):
     """Malformed or truncated layer checkpoint."""
+
+
+_FORMAT = _Format("checkpoint", CheckpointError, b"MOEC", 1, {"experts": "I", "dim": "I", "hidden": "I"},
+                  "<f8", lambda n, d, hidden: [(n, d), (n, hidden, d), (n, d, hidden)])
 
 
 @dataclass
@@ -200,22 +199,13 @@ def expand_layer(
 
 
 def save_layer(fp: BinaryIO, w_router, bank: ExpertBank) -> None:
-    """Write a layer checkpoint: header (dims) then little-endian f64 weights.
-
-    Layout: magic ``MOEC``, version u16, N u32, d u32, hidden u32, then the
-    router (N*d), stacked w_in (N*hidden*d), stacked w_out (N*d*hidden),
-    all row-major float64.
-    """
+    """Write a layer checkpoint (``_FORMAT``): header (N, d, hidden), then the
+    router, stacked w_in and stacked w_out as little-endian float64."""
     w = as_matrix(w_router, "w_router")
     n, hidden, d = bank.w_in.shape
     if w.shape != (n, d):
         raise ValueError(f"router shape {w.shape} inconsistent with bank ({n}, {d})")
-    if not (n and d and hidden):  # load_layer refuses a zero dimension
-        raise CheckpointError(f"checkpoint would declare a zero dimension: {(n, d, hidden)}")
-    fp.write(_HEADER.pack(_MAGIC, _VERSION, n, d, hidden))
-    fp.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-    fp.write(np.ascontiguousarray(bank.w_in, dtype="<f8").tobytes())
-    fp.write(np.ascontiguousarray(bank.w_out, dtype="<f8").tobytes())
+    _FORMAT.write(fp, (n, d, hidden), (w, bank.w_in, bank.w_out))
 
 
 def load_layer(fp: BinaryIO) -> tuple[np.ndarray, ExpertBank]:
@@ -223,16 +213,8 @@ def load_layer(fp: BinaryIO) -> tuple[np.ndarray, ExpertBank]:
     stream from its position; the framing is checked before the payload is
     read, and every weight must be finite.
     """
-    (n, d, hidden), payload = _read_framed(
-        fp, _HEADER, _MAGIC, _VERSION, lambda n, d, hidden: 8 * (n * d + 2 * n * hidden * d),
-        "checkpoint", CheckpointError,
-    )
-    counts = [n * d, n * hidden * d, n * d * hidden]
-    flat = np.frombuffer(payload, dtype="<f8")
+    flat, w, w_in, w_out = _FORMAT.read(fp)
     if not np.isfinite(flat).all():
         at = int(np.flatnonzero(~np.isfinite(flat))[0])
         raise CheckpointError(f"non-finite checkpoint weight {flat[at]} at payload index {at}")
-    w = flat[: counts[0]].reshape(n, d).astype(np.float64)
-    w_in = flat[counts[0] : counts[0] + counts[1]].reshape(n, hidden, d).astype(np.float64)
-    w_out = flat[counts[0] + counts[1] :].reshape(n, d, hidden).astype(np.float64)
     return w, ExpertBank(w_in, w_out)

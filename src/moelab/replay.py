@@ -10,20 +10,19 @@ one token's entry; :func:`replay_verify` replays each layer as one batch.
 Traces serialize to a compact binary format: magic ``RTRC``, version u16,
 token count u32, layer count u32, k u16, then token-major packed
 little-endian u16 expert indices (ascending within each entry). The u16
-payload caps expert counts at 65536. The framing rules are
-``core._read_framed``'s, shared with layer checkpoints.
+payload caps expert counts at 65536, and the u16 header field k at 65535.
+The layout is one ``core._Format``, as layer checkpoints' is.
 """
 
 from __future__ import annotations
 
 import io
-import struct
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from moelab.core import Rng, _read_framed, as_matrix, as_vector
+from moelab.core import Rng, _Format, as_matrix, as_vector
 from moelab.routing import (
     MoeLayerSpec,
     RoutingDecision,
@@ -45,14 +44,15 @@ __all__ = [
     "replay_verify",
 ]
 
-_MAGIC = b"RTRC"
-_VERSION = 1
-_HEADER = struct.Struct("<4sHIIH")
 MAX_EXPERTS = 1 << 16
 
 
 class TraceError(ValueError):
     """Malformed routing trace."""
+
+
+_FORMAT = _Format("trace", TraceError, b"RTRC", 1, {"tokens": "I", "layers": "I", "k": "H"},
+                  "<u2", lambda tokens, layers, k: [(tokens, layers, k)])
 
 
 @dataclass
@@ -142,34 +142,25 @@ def _beyond_experts(trace: RoutingTrace, token: int, layer: int, n: int) -> Trac
 
 
 def serialize_trace(trace: RoutingTrace) -> bytes:
-    header = _HEADER.pack(
-        _MAGIC, _VERSION, trace.num_tokens, trace.num_layers, trace.active_k
-    )
-    return header + np.ascontiguousarray(trace.indices, dtype="<u2").tobytes()
-
-
-def _read_trace(fp) -> RoutingTrace:
-    """Read a trace that fills a seekable stream from its position."""
-    dims, payload = _read_framed(
-        fp, _HEADER, _MAGIC, _VERSION, lambda tokens, layers, k: 2 * tokens * layers * k,
-        "trace", TraceError,
-    )
-    return RoutingTrace(indices=np.frombuffer(payload, dtype="<u2").reshape(dims).copy())
+    buf = io.BytesIO()
+    _FORMAT.write(buf, trace.indices.shape, [trace.indices])
+    return buf.getvalue()
 
 
 def deserialize_trace(data: bytes) -> RoutingTrace:
-    return _read_trace(io.BytesIO(data))
+    return RoutingTrace(_FORMAT.read(io.BytesIO(data))[1])
 
 
 def save_trace(path, trace: RoutingTrace) -> None:
+    data = serialize_trace(trace)  # before open, so a refused trace leaves no file
     with open(path, "wb") as fp:
-        fp.write(serialize_trace(trace))
+        fp.write(data)
 
 
 def load_trace(path) -> RoutingTrace:
     """Read a trace file; its size is checked before the payload is read."""
     with open(path, "rb") as fp:
-        return _read_trace(fp)
+        return RoutingTrace(_FORMAT.read(fp)[1])
 
 
 def replay_verify(

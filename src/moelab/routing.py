@@ -107,10 +107,6 @@ class MoeLayerSpec:
     def group_size(self) -> int:
         return self.num_experts // self.num_groups
 
-    @property
-    def k_per_group(self) -> int:
-        return self.active_k // self.num_groups
-
 
 @dataclass
 class ExpertBank:

@@ -47,7 +47,7 @@ def brute_grouped(p, spec):
     for g in range(spec.num_groups):
         lo = g * spec.group_size
         block = p[lo : lo + spec.group_size]
-        out.extend(lo + i for i in brute_topk(block, spec.k_per_group))
+        out.extend(lo + i for i in brute_topk(block, spec.active_k // spec.num_groups))
     return np.sort(np.array(out, dtype=np.int64))
 
 

@@ -273,6 +273,20 @@ class TestReplayVerify:
         row = text2.strip().split("\n")[1].split(",")
         assert row[-1] == "0"  # no mismatches
 
+    WIDE = ["replay-verify", "--experts", "65536", "--groups", "1", "--tokens", "1",
+            "--layers", "1", "--dim", "1", "--perturb", "0"]
+
+    def test_k_beyond_the_trace_header_is_module_error(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert run(self.WIDE + ["--k", "65536", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "moelab replay-verify: trace k 65536 does not fit its u16 header field\n"
+        assert not out.exists()
+
+    def test_widest_k_the_trace_header_holds(self, tmp_path):
+        code, text = run_to_file(tmp_path, "o.csv", self.WIDE + ["--k", "65535"])
+        assert (code, text) == (0, "tokens,layers,k,checked,mismatches\n1,1,65535,1,0\n")
+
     def test_corrupt_trace_is_module_error(self, tmp_path):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"XXXX" + bytes(32))
@@ -496,6 +510,13 @@ class TestUsageAndConfig:
         row = text.strip().split("\n")[1].split(",")
         assert row[0] == "grouped"  # from config
         assert row[1] == "70"  # flag overrides config
+
+    def test_config_keys_are_the_long_flag_names(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("len = 7\nrate = 50\n")
+        code, text = run_to_file(tmp_path, "p.csv", ["plan-patches", "--len", "5", "--config", str(cfg)])
+        assert code == 0
+        assert text.split("\n")[1].split(",")[:2] == ["5", "50.0"]  # the flag wins
 
     def test_unknown_config_key_is_module_error(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

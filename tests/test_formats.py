@@ -123,6 +123,15 @@ class TestBinaryBoundary:
                 assert out == data
 
 
+def test_trace_writer_stops_at_the_header_field(read_trace):
+    """A trace of k = 65535 is a valid file; one wider raises the format's
+    error, since its header field cannot hold k."""
+    widest = serialize_trace(RoutingTrace(np.arange(U16).reshape(1, 1, U16)))
+    assert attempt(read_trace, widest, TraceError, "k = 65535") == (widest, len(widest))
+    with pytest.raises(TraceError, match=f"trace k {U16 + 1} does not fit"):
+        serialize_trace(RoutingTrace(np.arange(U16 + 1).reshape(1, 1, U16 + 1)))
+
+
 SIZES = st.integers(1, 3)
 
 

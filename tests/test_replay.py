@@ -227,6 +227,33 @@ class TestTraceSerialization:
             RoutingTrace(indices=np.zeros((2, 2), dtype=np.uint16))
 
 
+class TestTraceHeaderFields:
+    """The u16 header field caps k at 65535: a wider trace is refused before
+    anything is written, and the widest it holds round-trips bit for bit."""
+
+    @staticmethod
+    def full(k):
+        return RoutingTrace(indices=np.arange(k).reshape(1, 1, k))
+
+    def test_k_beyond_u16_refused(self, tmp_path):
+        trace = self.full(65536)
+        with pytest.raises(TraceError, match="^trace k 65536 does not fit its u16 header field$"):
+            serialize_trace(trace)
+        path = tmp_path / "wide.bin"
+        with pytest.raises(TraceError, match="^trace k 65536 does not fit its u16 header field$"):
+            save_trace(path, trace)
+        assert not path.exists()
+
+    def test_widest_k_round_trips(self, tmp_path):
+        trace = self.full(65535)
+        path = tmp_path / "widest.bin"
+        save_trace(path, trace)
+        blob = path.read_bytes()
+        assert blob == serialize_trace(trace)
+        assert blob[:16] == struct.pack("<4sHIIH", b"RTRC", 1, 1, 1, 65535)
+        assert load_trace(path).indices.tobytes() == trace.indices.tobytes()
+
+
 class TestLoadTraceBounded:
     HEADER = 16  # magic, u16 version, u32 tokens, u32 layers, u16 k
 
