@@ -7,10 +7,12 @@ float64, so matmuls between rounding points stay in reference precision
 
 Supported formats: ``fp8_e4m3`` (4 exponent / 3 mantissa bits, bias 7, no
 infinities, max normal 448, per-tensor amax scaling), ``bf16`` (8-bit
-significand; emulated by direct mantissa rounding, exponent range not
-clamped), ``fp32`` (IEEE single), and ``fp64`` (identity). Rounding
-rejects non-finite input and a value that overflows the target, naming
-the first offending index.
+significand over float32's exponent range, subnormals included, max finite
+about 3.39e38), ``fp32`` (IEEE single, by the float32 cast), and ``fp64``
+(identity). E4M3 and bf16 round by one rule: nearest-even on the float64
+significand bits down to the format's smallest normal, and on its fixed
+subnormal step below that. Rounding rejects non-finite input and a value
+that overflows the target, naming the first offending index.
 
 For fp8, a tensor is an array of up to two dimensions; :func:`apply_format`
 treats an array of three or more as a stack in which every trailing matrix
@@ -70,6 +72,7 @@ _GRID = np.where(
     (1.0 + _MANT * 2.0**-_MAN_BITS) * 2.0 ** (_EXP - _BIAS),
 )
 _MAX_NORMAL = float(_GRID[-1])  # 448
+_BF16_MAX = (2.0 - 2.0**-7) * 2.0**127
 
 
 def fp8_grid() -> np.ndarray:
@@ -88,13 +91,17 @@ class QuantizedFp8:
         self.codes = np.asarray(self.codes, dtype=np.uint8)
 
 
+def _first_index(bad: np.ndarray):
+    """Index of the row-major first true element of ``bad``, as errors name it."""
+    i = int(np.argmax(bad))
+    return i if bad.ndim == 1 else tuple(int(j) for j in np.unravel_index(i, bad.shape))
+
+
 def _require_finite(a: np.ndarray, problem: str) -> np.ndarray:
     """Return ``a``, or raise ``problem`` at the row-major first non-finite element."""
     bad = ~np.isfinite(a)
     if bad.any():
-        i = int(np.argmax(bad))
-        at = i if a.ndim == 1 else tuple(int(j) for j in np.unravel_index(i, a.shape))
-        raise ValueError(f"{problem} at index {at}")
+        raise ValueError(f"{problem} at index {_first_index(bad)}")
     return a
 
 
@@ -104,18 +111,11 @@ def _amax_scale(a: np.ndarray, axis=None) -> np.ndarray:
     return np.divide(_MAX_NORMAL, amax, out=np.ones_like(amax), where=amax > 0.0)
 
 
-def _fp8_encode(a: np.ndarray, scale) -> np.ndarray:
-    """Codes of ``a * scale`` by round-to-nearest-even, saturating at the max
-    normal; ``scale`` broadcasts against ``a``."""
+def _fp8_magnitudes(a: np.ndarray, scale) -> np.ndarray:
+    """E4M3 grid magnitudes of ``|a| * scale`` by round-to-nearest-even,
+    saturating at the max normal; ``scale`` broadcasts against ``a``."""
     mag = np.minimum(np.abs(a) * scale, _MAX_NORMAL)
-    hi = np.searchsorted(_GRID, mag).clip(max=_GRID.size - 1)
-    lo = np.maximum(hi - 1, 0)
-    d_lo = mag - _GRID[lo]
-    d_hi = _GRID[hi] - mag
-    pick_hi = (d_hi < d_lo) | ((d_hi == d_lo) & (hi % 2 == 0))
-    code = np.where(pick_hi, hi, lo).astype(np.uint8)
-    code |= np.where(np.signbit(a), np.uint8(0x80), np.uint8(0))
-    return code
+    return _round_significand(mag, _MAN_BITS, 1 - _BIAS)
 
 
 def _fp8_decode(codes: np.ndarray, scale) -> np.ndarray:
@@ -139,7 +139,9 @@ def quantize_fp8(v, scale: float | None = None) -> QuantizedFp8:
         scale = float(_amax_scale(a))
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale}")
-    return QuantizedFp8(codes=_fp8_encode(a, scale), scale=float(scale))
+    # The grid is strictly ascending and holds every magnitude: the search is exact.
+    codes = np.searchsorted(_GRID, _fp8_magnitudes(a, scale)) | np.signbit(a) * 0x80
+    return QuantizedFp8(codes=codes, scale=float(scale))
 
 
 def dequantize_fp8(codes, scale: float) -> np.ndarray:
@@ -150,30 +152,43 @@ def dequantize_fp8(codes, scale: float) -> np.ndarray:
     return _fp8_decode(c, scale)
 
 
-def _round_significand(v, stored_bits: int, what: str) -> np.ndarray:
-    a = np.ascontiguousarray(v, dtype=np.float64)
-    _require_finite(a, f"{what} requires finite inputs; non-finite value")
-    bits = a.copy().view(np.uint64)
-    shift = np.uint64(52 - stored_bits)
-    one = np.uint64(1)
-    half = one << np.uint64(int(shift) - 1)
-    tail = bits & ((one << shift) - one)
-    lsb = (bits >> shift) & one
-    up = (tail > half) | ((tail == half) & (lsb == one))
-    with np.errstate(over="ignore"):
-        bits = (bits - tail) + up.astype(np.uint64) * (one << shift)
-    return _require_finite(bits.view(np.float64).reshape(a.shape), f"{what} overflows")
+def _round_significand(a: np.ndarray, stored_bits: int, min_exp: int) -> np.ndarray:
+    """The one rounding rule of the narrow formats, on finite float64 ``a``.
+
+    At or above ``2**min_exp`` the significand keeps ``stored_bits`` bits
+    after the leading one; below it the value lands on the fixed subnormal
+    step ``2**(min_exp - stored_bits)``. Both round to nearest, ties to even.
+    A value past the largest finite float64 becomes infinite.
+    """
+    drop = 52 - stored_bits  # float64 significand bits below the kept ones
+    bits = a.view(np.uint64)
+    # Adding half an ulp less one, plus the kept lsb, carries exactly when
+    # the dropped tail is above half, or at half with an odd kept lsb.
+    out = np.bitwise_and(bits >> np.uint64(drop), np.uint64(1), out=np.empty_like(bits))
+    out += bits + np.uint64((1 << (drop - 1)) - 1)
+    out = np.bitwise_and(out, ~np.uint64((1 << drop) - 1), out=out).view(np.float64)
+    small = np.abs(a) < 2.0**min_exp
+    if small.any():
+        step = 2.0 ** (min_exp - stored_bits)
+        out[small] = np.rint(a[small] / step) * step
+    return out
 
 
 def bf16_round(v) -> np.ndarray:
-    """Round the float64 significand to bfloat16's 8 bits (nearest-even).
+    """Round to the nearest bfloat16, ties to even, re-expressed in float64.
 
-    Emulates bf16 mantissa precision at any exponent; the format's exponent
-    clamping is irrelevant at desk scale and is not applied. Idempotent,
-    and exact on powers of two. A value that rounds past the largest
-    finite float64 raises ``ValueError`` naming its index.
+    Exact over the whole format: an 8-bit significand down to 2**-126,
+    subnormals on the step 2**-133 below it, zero at half that step or less. A
+    value that rounds past the largest finite bf16 (about 3.39e38) raises
+    ``ValueError`` naming its index.
     """
-    return _round_significand(v, stored_bits=7, what="bf16_round")
+    a = np.asarray(v, dtype=np.float64)
+    _require_finite(a, "bf16_round requires finite inputs; non-finite value")
+    rounded = _round_significand(a, 7, -126)
+    over = np.abs(rounded) > _BF16_MAX
+    if over.any():
+        raise ValueError(f"bf16_round overflows at index {_first_index(over)}")
+    return rounded
 
 
 def fp32_round(v) -> np.ndarray:
@@ -192,7 +207,8 @@ def _fp8_roundtrip(w) -> np.ndarray:
     a = np.asarray(w, dtype=np.float64)
     _require_finite(a, "quantize_fp8 requires finite inputs; non-finite value")
     scale = _amax_scale(a, axis=(-2, -1) if a.ndim >= 3 else None)
-    return _fp8_decode(_fp8_encode(a, scale), scale)
+    # _fp8_decode's sign * magnitude / scale, without the codes
+    return np.copysign(_fp8_magnitudes(a, scale), a) / scale
 
 
 _ROUNDERS = {

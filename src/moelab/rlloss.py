@@ -44,7 +44,7 @@ from typing import IO
 
 import numpy as np
 
-from moelab.core import Rng, as_vector, finite_diff_grad, log_softmax, softmax
+from moelab.core import Rng, as_vector, finite_diff_grad, log_softmax
 
 __all__ = [
     "MaskConfig", "RolloutBatch", "RlLossResult", "ToyPolicy", "EngineKl", "loo_advantage",
@@ -274,13 +274,20 @@ def rl_loss_grad(
     """
     if len(policy.tokens) != batch.group_size:
         raise ValueError("policy and batch disagree on group size")
-    own, new = np.concatenate(policy.log_probs()), batch.logp[2]
+    # One exp serves both the provenance check and the softmax: these are
+    # core's log_softmax and softmax, operation for operation.
+    z, rows, tokens = policy.flat_logits, np.arange(policy.flat_tokens.size), policy.flat_tokens
+    m = z.max(axis=-1, keepdims=True)
+    e = np.exp(z - m)
+    s = e.sum(axis=-1, keepdims=True)
+    own, new = z[rows, tokens] - (m + np.log(s))[:, 0], batch.logp[2]
     if not np.array_equal(policy.offsets, batch.offsets) or np.abs(own - new).max() > 1e-12:
         raise ValueError("batch new-snapshot log-probs do not come from this policy")
     coef = np.concatenate(rl_loss(batch, cfg).per_token_coef)
     lengths = np.diff(policy.offsets)
-    direction = -softmax(policy.flat_logits)
-    direction[np.arange(coef.size), policy.flat_tokens] += 1.0
+    e /= s
+    direction = np.negative(e, out=e)
+    direction[rows, tokens] += 1.0
     scale = -coef / np.repeat(batch.group_size * lengths, lengths)
     return _views(scale[:, None] * direction, policy.offsets)
 

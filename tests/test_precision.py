@@ -184,12 +184,79 @@ class TestBf16Round:
             bf16_round(m)
 
     def test_largest_finite_bf16_survives(self):
-        top = (2.0 - 2.0**-7) * 2.0**1023  # largest float64 with an 8-bit significand
-        assert bf16_round(np.array([top]))[0] == top
+        top = (2.0 - 2.0**-7) * 2.0**127
+        assert bf16_round(np.array([top, -top])).tolist() == [top, -top]
+        # just short of the midpoint to 2**128 rounds down onto it
+        below_mid = np.nextafter((2.0 - 2.0**-8) * 2.0**127, 0.0)
+        assert bf16_round(np.array([below_mid]))[0] == top
+
+    @pytest.mark.parametrize("v", [(2.0 - 2.0**-8) * 2.0**127, 2.0**128, 3.5e38, 1e300,
+                                   (2.0 - 2.0**-7) * 2.0**1023])
+    def test_beyond_largest_finite_bf16_raises(self, v):
+        for sign in (1.0, -1.0):
+            with pytest.raises(ValueError, match=r"bf16_round overflows at index 1\b"):
+                bf16_round(np.array([1.0, sign * v]))
+
+    @pytest.mark.parametrize("v,want", [
+        (2.0**-126, 2.0**-126),  # smallest normal
+        (1e-40, 2.0**-133),  # subnormal: the step is 2**-133
+        (127.5 * 2.0**-133, 2.0**-126),  # tie between the top subnormal and 2**-126: even
+        (3.0 * 2.0**-134, 2.0**-132),  # tie between steps 1 and 2: even
+        (np.nextafter(2.0**-134, 1.0), 2.0**-133),
+        (2.0**-134, 0.0),  # tie between zero and the first step: zero
+        (1.5e-45, 0.0),
+        (5e-324, 0.0),  # float64's own smallest subnormal
+    ])
+    def test_subnormals_and_underflow_to_zero(self, v, want):
+        got = bf16_round(np.array([v, -v]))
+        assert got.tolist() == [want, -want]
+        assert np.signbit(got[1])  # a negative value that underflows keeps its sign
 
     def test_nonfinite_input_names_index(self):
         with pytest.raises(ValueError, match=r"requires finite inputs.*at index 2\b"):
             bf16_round(np.array([1.0, 2.0, np.nan]))
+
+
+def bf16_values():
+    """Every bf16 value by its 16-bit code: the top half of a float32."""
+    with np.errstate(invalid="ignore"):  # the table holds signalling NaNs
+        return (np.arange(2**16, dtype=np.uint32) << 16).view(np.float32).astype(np.float64)
+
+
+class TestBf16AgainstEveryCode:
+    """bf16_round against the format's own code table, written without it."""
+
+    FINITE = 0x7F80  # codes below are +0 .. the largest finite, ascending
+
+    @pytest.mark.parametrize("signed", [0x0000, 0x8000], ids=["positive", "negative"])
+    def test_codes_midpoints_and_neighbours(self, signed):
+        values = bf16_values()[signed:signed + self.FINITE]
+        assert np.all(np.diff(np.abs(values)) > 0)
+        lower, upper = values[:-1], values[1:]
+        mid = (lower + upper) / 2.0  # nine significant bits: exact in float64
+        even = np.where(np.arange(self.FINITE - 1) % 2 == 0, lower, upper)
+        away = np.copysign(np.inf, mid)
+        for probe, want in [(values, values), (mid, even), (np.nextafter(mid, 0.0), lower),
+                            (np.nextafter(mid, away), upper)]:
+            got = bf16_round(probe)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("signed", [0x0000, 0x8000], ids=["positive", "negative"])
+    def test_overflow_boundary(self, signed):
+        values = bf16_values()
+        below, top = values[signed + self.FINITE - 2:signed + self.FINITE]
+        assert np.isinf(values[signed + self.FINITE])  # the next code is infinity
+        mid = top + (top - below) / 2.0  # the tie goes to the even code: infinity
+        assert bf16_round(np.array([np.nextafter(mid, 0.0)]))[0] == top
+        for beyond in (mid, np.nextafter(mid, 2.0 * mid)):
+            with pytest.raises(ValueError, match=r"bf16_round overflows at index 0\b"):
+                bf16_round(np.array([beyond]))
+
+    def test_nonfinite_codes_rejected(self):
+        values = bf16_values()
+        for code in (0x7F80, 0xFF80, 0x7FC0):  # +inf, -inf, a NaN
+            with pytest.raises(ValueError, match="requires finite inputs"):
+                bf16_round(values[code:code + 1])
 
 
 class TestFp32Round:
@@ -211,6 +278,51 @@ class TestFp32Round:
         v = rng.normal(1000) * 123.456
         once = fp32_round(v)
         assert np.array_equal(fp32_round(once), once)
+
+
+E4M3_GRID = np.array([e4m3_value(c) for c in range(127)])  # code order, NaN slot left out
+
+
+def e4m3_nearest_even(v):
+    """One tensor's E4M3 round trip at its own amax scale, by brute force:
+    the nearest grid point to each scaled magnitude, ties to the even code."""
+    amax = np.max(np.abs(v))
+    scale = 448.0 / amax if amax > 0 else 1.0
+    mag = np.minimum(np.abs(v) * scale, 448.0).reshape(-1, 1)
+    dist = np.abs(E4M3_GRID - mag)  # exact for the two nearest points (Sterbenz)
+    nearest = dist == dist.min(axis=1, keepdims=True)
+    tie = nearest.sum(axis=1) == 2
+    code = np.argmax(nearest & (~tie[:, None] | (np.arange(127) % 2 == 0)), axis=1)
+    return np.where(np.signbit(v), -1.0, 1.0) * E4M3_GRID[code].reshape(v.shape) / scale
+
+
+def amax_probes():
+    """(name, tensor) pairs: amax far from 448 either way, tensors mostly
+    subnormal or zero after scaling, and ties placed exactly at a power-of-two scale."""
+    rng = Rng(31)
+    for amax in (1e-30, 3e-5, 1.0, 448.0, 1e6, 1e30):
+        v = rng.normal_matrix(12, 9)
+        yield f"amax{amax:g}", v * (amax / np.max(np.abs(v)))
+    for ratio in (1e-4, 1e-5, 1e-6):  # 448 * ratio is below the smallest normal 2**-6
+        v = rng.normal(200) * ratio
+        v[7] = -1.0
+        yield f"subnormal{ratio:g}", v
+    mid = (E4M3_GRID[:-1] + E4M3_GRID[1:]) / 2.0
+    for k in (-40, 0, 3):  # the amax 448 * 2**k makes the scale 2**-k, so ties stay ties
+        probes = np.concatenate([[448.0], mid, np.nextafter(mid, 0.0), np.nextafter(mid, 448.0)])
+        yield f"ties2^{k}", np.where(np.arange(probes.size) % 3 == 1, -1.0, 1.0) * probes * 2.0**k
+
+
+class TestFp8AgainstAmaxScaleOracle:
+    @pytest.mark.parametrize("v", [pytest.param(v, id=name) for name, v in amax_probes()])
+    def test_apply_format_matches_brute_force(self, v):
+        got = apply_format(v, "fp8_e4m3")
+        assert np.array_equal(got.view(np.uint64), e4m3_nearest_even(v).view(np.uint64))
+
+    def test_stack_matches_brute_force_per_matrix(self):
+        stack = np.stack([v.ravel()[:60].reshape(12, 5) for _, v in amax_probes()])
+        want = np.stack([e4m3_nearest_even(m) for m in stack])
+        assert np.array_equal(apply_format(stack, "fp8_e4m3").view(np.uint64), want.view(np.uint64))
 
 
 class TestQuantizeAgainstMlDtypes:

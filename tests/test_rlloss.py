@@ -498,6 +498,20 @@ class TestSerialization:
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
             assert batch.rewards[i] == float(parts[0])
 
+    # A log-prob of exactly zero, of either sign, is a certain token: valid in every snapshot.
+    @pytest.mark.parametrize("zero", [0.0, -0.0], ids=["pos", "neg"])
+    @pytest.mark.parametrize("snapshot", range(4))
+    def test_zero_log_prob_loads_and_round_trips(self, zero, snapshot):
+        blocks = [[np.array([-0.5, -1.5]), np.array([-2.0])] for _ in range(4)]
+        blocks[snapshot][0][1] = zero
+        batch = RolloutBatch(*blocks, rewards=np.array([1.0, 0.0]))
+        buf = io.StringIO()
+        dump_batch(batch, buf)
+        buf.seek(0)
+        again = load_batch(buf)
+        assert same_bits(again.logp, batch.logp)
+        assert np.signbit(again.logp[snapshot, 1]) == np.signbit(zero)
+
     def test_neg_inf_new_logp_rejected_on_load(self):
         text = "1.0 2 -0.5 -0.5 -0.5 -0.5 -inf -0.5 -0.5 -0.5\n0.0 1 -0.5 -0.5 -0.5 -0.5\n"
         with pytest.raises(ValueError, match=r"logp_new\[0\] has a -inf log-probability at token 0"):
