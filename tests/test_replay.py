@@ -296,8 +296,8 @@ class TestTraceIndexRange:
     @pytest.mark.parametrize("indices,bad", [
         ([[[-1]]], "-1"),
         ([[[3, 70000]]], "70000"),
-        ([[[65536]]], "65536"),
         ([[[1.7, 2.2]]], "1.7"),
+        ([[[65536]]], "65536"),
     ])
     def test_unrepresentable_index_is_named(self, indices, bad):
         with pytest.raises(TraceError, match=rf"trace index {bad} is not an integer in \[0, 65536\)"):
