@@ -4,7 +4,7 @@ Subcommands, and the library code each one runs
     balance-sim      dispatch balance trials: epsim.balance_trials
     gradcheck-ste    router gradient check: routing.gradcheck_ste
     gradcheck-rl     loss gradient check: rlloss.gradcheck_rl (--batch: evaluate_batch)
-    expand           checkpoint expansion: the moelab.expansion pipeline
+    expand           checkpoint expansion: expansion.expand_checkpoint
     precision-sweep  engine divergence per policy: precision.precision_sweep
     replay-verify    forced-replay check: replay.replay_verify
     plan-patches     adaptive patch plan: timeseries.plan_patches
@@ -21,20 +21,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import get_args
 
-from moelab.core import Rng
 from moelab.epsim import balance_trials
-from moelab.expansion import (
-    activation_stats,
-    expand_layer,
-    load_layer,
-    plan_expansion,
-    save_layer,
-)
+from moelab.expansion import ExpansionStrategy, expand_checkpoint
 from moelab.precision import POLICIES, precision_sweep
 from moelab.replay import replay_verify
 from moelab.rlloss import MaskConfig, evaluate_batch, gradcheck_rl, load_batch
-from moelab.routing import MoeLayerSpec, gradcheck_ste
+from moelab.routing import MoeLayerSpec, RoutingMode, gradcheck_ste
 from moelab.timeseries import plan_patches
 
 __all__ = ["main", "run"]
@@ -84,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("balance-sim", help="expert-parallel load-balance trials")
-    p.add_argument("--mode", choices=["plain_topk", "grouped"], default="grouped")
+    p.add_argument("--mode", choices=get_args(RoutingMode), default="grouped")
     p.add_argument("--devices", type=int, default=8)
     p.add_argument("--experts", type=int, default=64)
     p.add_argument("--k", type=int, default=8)
@@ -123,8 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="expanded checkpoint destination")
     p.add_argument("--factor", type=int, default=4)
     p.add_argument("--groups", type=int, default=8)
-    p.add_argument("--strategy", choices=["grouped_top", "differentiated"],
-                   default="grouped_top")
+    p.add_argument("--strategy", choices=get_args(ExpansionStrategy), default="grouped_top")
     p.add_argument("--noise", type=float, default=1e-3,
                    help="router-row perturbation relative to row norm")
     p.add_argument("--calib-tokens", type=int, default=256)
@@ -145,7 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=8)
     p.add_argument("--groups", type=int, default=8)
     p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--mode", choices=["plain_topk", "grouped"], default="grouped")
+    p.add_argument("--mode", choices=get_args(RoutingMode), default="grouped")
     p.add_argument("--perturb", type=float, default=10.0,
                    help="max router perturbation as a multiple of the weight norm")
     p.add_argument("--record-trace", default=None, help="write the recorded trace here")
@@ -232,22 +225,10 @@ def _cmd_gradcheck_rl(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    with open(args.input, "rb") as fp:
-        w_router, bank = load_layer(fp)
-    rng = Rng(args.seed)
-    calib = rng.normal_matrix(args.calib_tokens, bank.model_dim)
-    stats = activation_stats(calib, w_router, k=args.k)
-    plan = plan_expansion(stats, factor=args.factor, num_groups=args.groups,
-                          strategy=args.strategy)
-    new_bank, new_router = expand_layer(bank, w_router, plan, noise=args.noise, rng=rng)
-    with open(args.output, "wb") as fp:
-        save_layer(fp, new_router, new_bank)
-    _write_rows(args.out, [{
-        "experts_before": bank.num_experts,
-        "experts_after": new_bank.num_experts,
-        "param_ratio": float(new_bank.param_count / bank.param_count),
-        "strategy": args.strategy,
-    }])
+    _write_rows(args.out, [expand_checkpoint(
+        args.input, args.output, factor=args.factor, num_groups=args.groups,
+        strategy=args.strategy, noise=args.noise, calib_tokens=args.calib_tokens, k=args.k,
+        seed=args.seed)])
     return 0
 
 
@@ -287,8 +268,8 @@ def run(argv: list[str]) -> int:
         if getattr(args, "config", None):
             args = _apply_config(parser, argv, args)
         return args.handler(args)
-    except (ValueError, OSError, MemoryError) as exc:
-        print(f"moelab {args.command}: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:  # a bare MemoryError has no message
+        print(f"moelab {args.command}: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

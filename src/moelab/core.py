@@ -303,10 +303,11 @@ class _Format(NamedTuple):
 
     def read(self, fp: BinaryIO) -> list[np.ndarray]:
         """The flat payload, then an owned native-order copy of each array, of a
-        file filling a seekable stream from its position. The declared size
-        is checked against the bytes left before the payload is read, so a
-        crafted header cannot make the reader allocate more than the input
-        holds; bytes after the payload are rejected."""
+        file filling ``fp`` from its position. The declared size is checked
+        against the bytes left before the payload is read (a stream that
+        cannot seek is read up to one byte past it), so a crafted header
+        cannot make the reader allocate more than the input holds; bytes
+        after the payload are rejected."""
         header = struct.Struct("<4sH" + "".join(self.dims.values()))
         raw = fp.read(header.size)
         if len(raw) < header.size:
@@ -321,14 +322,22 @@ class _Format(NamedTuple):
         shapes = self.shapes(*dims)
         counts = [math.prod(shape) for shape in shapes]
         size = np.dtype(self.dtype).itemsize * sum(counts)
-        start = fp.tell()
-        available = fp.seek(0, io.SEEK_END) - start
+        seekable = fp.seekable()
+        if seekable:
+            start = fp.tell()
+            available = fp.seek(0, io.SEEK_END) - start
+            fp.seek(start)
+        else:  # read(n) allocates n bytes first: at most one byte past the payload, 1 MiB at a time
+            data = bytearray()
+            while len(data) <= size and (chunk := fp.read(min(size + 1 - len(data), 1 << 20))):
+                data += chunk
+            available = len(data)
         if size > available:
             raise self.error(f"truncated {self.name} payload: needs {size} bytes, got {available}")
         if size < available:
-            raise self.error(f"{available - size} trailing bytes after {self.name} payload")
-        fp.seek(start)
-        flat = np.frombuffer(fp.read(size), dtype=self.dtype)
+            at_least = "" if seekable else "at least "
+            raise self.error(f"{at_least}{available - size} trailing bytes after {self.name} payload")
+        flat = np.frombuffer(fp.read(size) if seekable else data, dtype=self.dtype)
         parts = np.split(flat, np.cumsum(counts)[:-1])
         return [flat] + [part.reshape(shape).astype(flat.dtype.newbyteorder("="))
                          for part, shape in zip(parts, shapes)]

@@ -15,8 +15,9 @@ deterministic selection. Two seeding strategies are provided:
 
 Activation frequency comes from a calibration batch routed through the
 original layer. Layer checkpoints round-trip through a little-endian
-binary format, declared once as a ``core._Format`` as routing traces are,
-so expansion is drivable from the command line.
+binary format, declared once as a ``core._Format`` as routing traces are;
+:func:`expand_checkpoint` grows one checkpoint file into another and is
+the experiment of ``moelab expand``.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ __all__ = [
     "expand_layer",
     "save_layer",
     "load_layer",
+    "expand_checkpoint",
     "CheckpointError",
 ]
 
@@ -130,6 +132,19 @@ def plan_expansion(
     num_groups: int,
     strategy: ExpansionStrategy = "grouped_top",
 ) -> ExpansionPlan:
+    """Map the ``factor * N`` new slots onto source experts, group by group.
+
+    Experts are ranked by :func:`frequency_ranking`, and each of the
+    ``num_groups`` destination groups holds ``m = factor * N / num_groups``
+    slots. ``grouped_top`` leads every group with the top ``min(2, m, N)``
+    experts and fills the remaining slots from the rest of the ranking (the
+    whole ranking when no expert is left), in ranking order, cycling and
+    continuing from one group into the next; each group's slots are then
+    sorted by source index. ``differentiated`` gives group g m copies of
+    the ``g mod N``-th ranked expert. ValueError on a factor below 1, a
+    group count that does not divide the expanded count, or an unknown
+    strategy, in that order.
+    """
     n = stats.num_experts
     new_count = factor * n
     if factor < 1:
@@ -140,25 +155,15 @@ def plan_expansion(
         )
     m = new_count // num_groups
     ranking = frequency_ranking(stats)
-
-    groups: list[list[int]] = []
     if strategy == "grouped_top":
-        lead = list(ranking[: min(2, m, n)])
-        pool = list(ranking[len(lead) :]) or list(ranking)
-        cursor = 0
-        for _ in range(num_groups):
-            slots = list(lead)
-            while len(slots) < m:
-                slots.append(int(pool[cursor % len(pool)]))
-                cursor += 1
-            groups.append(sorted(slots))
+        lead = ranking[: min(2, m, n)]
+        pool = ranking[lead.size :] if n > lead.size else ranking
+        fill = pool[np.arange(num_groups * (m - lead.size)) % pool.size].reshape(num_groups, -1)
+        mapping = np.sort(np.hstack([np.tile(lead, (num_groups, 1)), fill]), axis=1).ravel()
     elif strategy == "differentiated":
-        for g in range(num_groups):
-            groups.append([int(ranking[g % n])] * m)
+        mapping = np.repeat(ranking[np.arange(num_groups) % n], m)
     else:
         raise ValueError(f"unknown expansion strategy {strategy!r}")
-
-    mapping = np.array([i for grp in groups for i in grp], dtype=np.int64)
     return ExpansionPlan(num_groups=num_groups, mapping=mapping, num_source=n)
 
 
@@ -209,12 +214,33 @@ def save_layer(fp: BinaryIO, w_router, bank: ExpertBank) -> None:
 
 
 def load_layer(fp: BinaryIO) -> tuple[np.ndarray, ExpertBank]:
-    """Read a checkpoint written by :func:`save_layer` that fills a seekable
-    stream from its position; the framing is checked before the payload is
-    read, and every weight must be finite.
+    """Read a checkpoint written by :func:`save_layer` that fills ``fp`` from
+    its position; the framing is checked before the payload is read, and
+    every weight must be finite.
     """
     flat, w, w_in, w_out = _FORMAT.read(fp)
     if not np.isfinite(flat).all():
         at = int(np.flatnonzero(~np.isfinite(flat))[0])
         raise CheckpointError(f"non-finite checkpoint weight {flat[at]} at payload index {at}")
     return w, ExpertBank(w_in, w_out)
+
+
+def expand_checkpoint(source, destination, *, factor: int, num_groups: int,
+                      strategy: ExpansionStrategy, noise: float, calib_tokens: int, k: int,
+                      seed: int) -> dict[str, object]:
+    """Expand the checkpoint file ``source`` into ``destination``, as one CSV row.
+
+    ``Rng(seed)`` draws a batch of ``calib_tokens`` tokens whose top-``k``
+    tallies rank the experts; the same stream then perturbs the copied
+    router rows. ``destination`` is opened only once the expansion succeeded.
+    """
+    with open(source, "rb") as fp:
+        w_router, bank = load_layer(fp)
+    rng = Rng(seed)
+    stats = activation_stats(rng.normal_matrix(calib_tokens, bank.model_dim), w_router, k)
+    plan = plan_expansion(stats, factor, num_groups, strategy)
+    new_bank, new_router = expand_layer(bank, w_router, plan, noise, rng)
+    with open(destination, "wb") as fp:
+        save_layer(fp, new_router, new_bank)
+    return {"experts_before": bank.num_experts, "experts_after": new_bank.num_experts,
+            "param_ratio": float(new_bank.param_count / bank.param_count), "strategy": strategy}

@@ -137,8 +137,8 @@ def quantize_fp8(v, scale: float | None = None) -> QuantizedFp8:
     _require_finite(a, "quantize_fp8 requires finite inputs; non-finite value")
     if scale is None:
         scale = float(_amax_scale(a))
-    if not scale > 0:
-        raise ValueError(f"scale must be positive, got {scale}")
+    if not 0 < scale < np.inf:
+        raise ValueError(f"scale must be positive and finite, got {scale}")
     # The grid is strictly ascending and holds every magnitude: the search is exact.
     codes = np.searchsorted(_GRID, _fp8_magnitudes(a, scale)) | np.signbit(a) * 0x80
     return QuantizedFp8(codes=codes, scale=float(scale))
@@ -147,8 +147,8 @@ def quantize_fp8(v, scale: float | None = None) -> QuantizedFp8:
 def dequantize_fp8(codes, scale: float) -> np.ndarray:
     """Map codes back to float64: grid magnitude over scale, NaN for the NaN slot."""
     c = np.asarray(codes, dtype=np.uint8)
-    if not scale > 0:
-        raise ValueError(f"scale must be positive, got {scale}")
+    if not 0 < scale < np.inf:
+        raise ValueError(f"scale must be positive and finite, got {scale}")
     return _fp8_decode(c, scale)
 
 

@@ -372,6 +372,8 @@ def gradcheck_rl(
     stop-gradient rule) and keeps its own log-softmax as the oracle."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if group < 2:  # first: a negative count would fail in the length draw, naming no flag
+        raise ValueError(f"group must be at least 2, got {group}")
     if maxlen < 1:
         raise ValueError(f"maxlen must be at least 1, got {maxlen}")
     if vocab < 2:  # one entry has a zero gradient by construction
@@ -379,7 +381,7 @@ def gradcheck_rl(
     rng = Rng(seed)
     worst = 0.0
     for _ in range(trials):
-        lens = [1 + int(rng.uniform(1)[0] * maxlen) for _ in range(group)]
+        lens = (1 + (rng.uniform(group) * maxlen).astype(np.int64)).tolist()
         policy = ToyPolicy(
             logits=[rng.normal(l * vocab).reshape(l, vocab) for l in lens],
             tokens=[(rng.uniform(l) * vocab).astype(np.int64) for l in lens],

@@ -50,7 +50,7 @@ k experts' draws, not N.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -78,6 +78,7 @@ __all__ = [
 ]
 
 RoutingMode = Literal["plain_topk", "grouped"]
+_MODES = get_args(RoutingMode)  # out of select, which runs once per routed token
 
 
 @dataclass(frozen=True)
@@ -350,7 +351,7 @@ def select(probs, spec: MoeLayerSpec, mode: RoutingMode) -> np.ndarray:
     probability, or a width other than ``spec.num_experts``. Plain top-k is
     the kernel with one block.
     """
-    if mode not in ("grouped", "plain_topk"):
+    if mode not in _MODES:
         raise ValueError(f"unknown routing mode {mode!r}")
     pm = _finite_probs(probs)
     if pm.shape[1] != spec.num_experts:

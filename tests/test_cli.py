@@ -1,8 +1,18 @@
 import io
+import os
 import struct
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+try:
+    import resource
+except ImportError:  # not POSIX
+    resource = None
 
 from moelab import cli
 from moelab.cli import run
@@ -273,6 +283,20 @@ class TestReplayVerify:
         row = text2.strip().split("\n")[1].split(",")
         assert row[-1] == "0"  # no mismatches
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_replay_from_a_named_pipe_matches_the_file(self, tmp_path):
+        trace_path, fifo = tmp_path / "trace.bin", tmp_path / "trace.fifo"
+        argv = ["replay-verify", "--tokens", "16", "--layers", "3", "--seed", "4"]
+        assert run_to_file(tmp_path, "rec.csv", argv + ["--record-trace", str(trace_path)])[0] == 0
+        from_file = run_to_file(tmp_path, "file.csv", argv + ["--replay-trace", str(trace_path)])
+        os.mkfifo(fifo)
+        feed = threading.Thread(target=fifo.write_bytes, args=(trace_path.read_bytes(),), daemon=True)
+        feed.start()
+        from_fifo = run_to_file(tmp_path, "fifo.csv", argv + ["--replay-trace", str(fifo)])
+        feed.join(timeout=5)
+        assert from_fifo == from_file
+        assert from_file[0] == 0
+
     WIDE = ["replay-verify", "--experts", "65536", "--groups", "1", "--tokens", "1",
             "--layers", "1", "--dim", "1", "--perturb", "0"]
 
@@ -431,6 +455,8 @@ class TestArgumentHoles:
              "trace must cover at least one token, layer, and expert"),
             (["replay-verify", "--layers", "0"], "need at least one (router, spec) layer"),
             (["replay-verify", "--tokens", "-1"], "matrix shape must be nonnegative, got (-1, 16)"),
+            (["gradcheck-rl", "--group", "1"], "group must be at least 2, got 1"),
+            (["gradcheck-rl", "--group", "-1"], "group must be at least 2, got -1"),
         ],
     )
     def test_module_error_is_one_line(self, tmp_path, capsys, argv, message):
@@ -443,24 +469,58 @@ class TestArgumentHoles:
         assert not out.exists()
 
     # An oversized size argument (--samples 100000000000 and the like) ends
-    # in numpy's MemoryError; the library call raises it here instead.
+    # in numpy's MemoryError; the library call raises it here instead. One
+    # without a message is named by its type.
     @pytest.mark.parametrize("command, function", [
         ("precision-sweep", "precision_sweep"),
         ("balance-sim", "balance_trials"),
         ("replay-verify", "replay_verify"),
         ("gradcheck-rl", "gradcheck_rl"),
         ("gradcheck-ste", "gradcheck_ste"),
+        ("expand", "expand_checkpoint"),
     ])
     def test_memory_error_is_one_line(self, tmp_path, capsys, monkeypatch, command, function):
-        def allocate(*args, **kwargs):
-            raise MemoryError("Unable to allocate 745. GiB for an array")
-
-        monkeypatch.setattr(cli, function, allocate)
         out = tmp_path / "o.csv"
-        assert run([command, "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err == f"moelab {command}: Unable to allocate 745. GiB for an array\n"
-        assert not out.exists()
+        required = {"expand": ["--input", "in.bin", "--output", str(tmp_path / "x.bin")]}
+        alloc = "Unable to allocate 745. GiB for an array"
+        for message, shown in [(alloc, alloc), ("", "MemoryError")]:
+            def allocate(*args, **kwargs):
+                raise MemoryError(message)
+
+            monkeypatch.setattr(cli, function, allocate)
+            assert run([command, "--out", str(out), *required.get(command, [])]) == 1
+            err = capsys.readouterr().err
+            assert err == f"moelab {command}: {shown}\n"
+            assert not out.exists()
+
+    # The same sizes for real, in a child process whose address space is
+    # capped at 1 GiB: each must be refused at its first allocation.
+    @pytest.mark.skipif(resource is None, reason="needs the POSIX resource module")
+    @pytest.mark.parametrize("argv", [
+        ["expand", "--factor", "4294967297"],
+        ["gradcheck-rl", "--group", "4294967297", "--trials", "1"],
+    ], ids=["expand", "gradcheck-rl"])
+    def test_oversized_run_is_refused_under_a_memory_cap(self, tmp_path, argv):
+        if argv[0] == "expand":  # 8 experts, so the default 8 groups divide any factor
+            rng = Rng(3)
+            spec = MoeLayerSpec(num_experts=8, active_k=2, num_groups=1, model_dim=4, hidden_dim=8)
+            with open(tmp_path / "layer.bin", "wb") as fp:
+                save_layer(fp, rng.normal_matrix(8, 4), ExpertBank.random(rng, spec))
+            argv = argv + ["--input", str(tmp_path / "layer.bin"), "--output", str(tmp_path / "out.bin")]
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+
+        def cap():  # runs in the child only
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run([sys.executable, "-m", "moelab.cli", *argv, "--out", "-"],
+                              env=env, preexec_fn=cap, capture_output=True, text=True, timeout=5)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith(f"moelab {argv[0]}: Unable to allocate ")
+        assert not (tmp_path / "out.bin").exists()
 
     @pytest.mark.parametrize("command", ["gradcheck-ste", "gradcheck-rl"])
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-6"])

@@ -145,6 +145,61 @@ class TestPlanExpansion:
             plan_expansion(make_stats([3, 2, 1]), factor=1, num_groups=1, strategy="random")
 
 
+def loop_plan(rank1, rank2, factor, num_groups, strategy):
+    """Slot-by-slot plan oracle: rank experts by (-rank1, -rank2, index),
+    then fill each group in turn from a cursor over the ranking."""
+    n = len(rank1)
+    ranking = sorted(range(n), key=lambda e: (-rank1[e], -rank2[e], e))
+    m = factor * n // num_groups
+    groups = []
+    if strategy == "grouped_top":
+        lead = ranking[: min(2, m, n)]
+        pool = ranking[len(lead):] or ranking
+        cursor = 0
+        for _ in range(num_groups):
+            slots = list(lead)
+            while len(slots) < m:
+                slots.append(pool[cursor % len(pool)])
+                cursor += 1
+            groups.append(sorted(slots))
+    else:
+        groups = [[ranking[g % n]] * m for g in range(num_groups)]
+    return [e for grp in groups for e in grp]
+
+
+def tallies(n):
+    """Rank-1/rank-2 tallies over n experts: all tied, all distinct, and
+    seeded draws from {0, 1, 2}, which tie often on both counts."""
+    rng = Rng(100 + n)
+    yield [0] * n, [0] * n
+    yield list(range(n, 0, -1)), list(range(n))
+    for _ in range(3):
+        yield (rng.uniform(n) * 3).astype(int).tolist(), (rng.uniform(n) * 3).astype(int).tolist()
+
+
+PLAN_CASES = [
+    (rank1, rank2, factor, groups, strategy)
+    for n in range(1, 9)
+    for rank1, rank2 in tallies(n)
+    for factor in range(1, 5)
+    for groups in range(1, factor * n + 1)
+    if factor * n % groups == 0
+    for strategy in ("grouped_top", "differentiated")
+]
+
+
+def test_plan_matches_the_slot_by_slot_oracle():
+    assert len(PLAN_CASES) > 1000
+    for rank1, rank2, factor, groups, strategy in PLAN_CASES:
+        stats = ActivationStats(rank1=np.array(rank1), rank2=np.array(rank2))
+        plan = plan_expansion(stats, factor, groups, strategy)
+        want = loop_plan(rank1, rank2, factor, groups, strategy)
+        case = (rank1, rank2, factor, groups, strategy)
+        assert plan.mapping.dtype == np.int64, case
+        assert plan.mapping.tolist() == want, case
+        assert (plan.num_groups, plan.num_source) == (groups, len(rank1)), case
+
+
 class TestExpandLayer:
     def _layer(self, seed, n=4, d=8, hidden=6):
         rng = Rng(seed)

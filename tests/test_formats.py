@@ -9,9 +9,12 @@ formats are counted: a rejected header costs at most the header's bytes,
 and a payload whose declared size is rejected is never read.
 """
 
+import contextlib
 import io
 import itertools
+import os
 import struct
+import threading
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -19,7 +22,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import CountingStream
+from helpers import CountingStream, traced_peak
 from moelab import replay
 from moelab.core import Rng
 from moelab.expansion import CheckpointError, load_layer, save_layer
@@ -130,6 +133,71 @@ def test_trace_writer_stops_at_the_header_field(read_trace):
     assert attempt(read_trace, widest, TraceError, "k = 65535") == (widest, len(widest))
     with pytest.raises(TraceError, match=f"trace k {U16 + 1} does not fit"):
         serialize_trace(RoutingTrace(np.arange(U16 + 1).reshape(1, 1, U16 + 1)))
+
+
+def through_a_pipe(read, data: bytes):
+    """``read(fp)`` of the read end of an ``os.pipe()`` that a thread feeds ``data``."""
+    r, w = os.pipe()
+
+    def feed():
+        with contextlib.suppress(BrokenPipeError), open(w, "wb") as fp:
+            fp.write(data)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        with open(r, "rb") as fp:
+            return read(fp)
+    finally:
+        writer.join(timeout=5)
+
+
+class TestUnseekableStream:
+    """A stream that cannot seek is read at most one byte past the declared
+    payload, so it loads as a file does and a crafted header stays bounded."""
+
+    @pytest.fixture(scope="class")
+    def trace_file(self, tmp_path_factory):
+        # over 1 MiB, so the payload arrives in more than one chunk
+        indices = (np.arange(4096 * 8 * 40) % 1000).astype(np.uint16).reshape(4096, 8, 40)
+        path = tmp_path_factory.mktemp("pipe") / "trace.bin"
+        path.write_bytes(serialize_trace(RoutingTrace(indices)))
+        return path
+
+    def test_trace_from_a_pipe_equals_the_file(self, trace_file, read_trace):
+        data = trace_file.read_bytes()
+        assert through_a_pipe(read_trace, data) == read_trace(open(trace_file, "rb")) == data
+
+    def test_checkpoint_from_a_pipe_equals_the_stream(self):
+        rng = Rng(41)
+        spec = MoeLayerSpec(num_experts=64, active_k=1, num_groups=1, model_dim=16, hidden_dim=128)
+        data = layer_bytes(rng.normal_matrix(64, 16), ExpertBank.random(rng, spec))
+        assert through_a_pipe(read_layer, data) == read_layer(io.BytesIO(data)) == data
+
+    @pytest.mark.parametrize("cut, message", [
+        (-1, "truncated trace payload: needs 2621440 bytes, got 2621439"),
+        (-2621440, "truncated trace payload: needs 2621440 bytes, got 0"),
+    ])
+    def test_short_pipe_is_rejected(self, trace_file, read_trace, cut, message):
+        data = trace_file.read_bytes()[:cut]
+        with pytest.raises(TraceError, match=message):
+            through_a_pipe(read_trace, data)
+
+    @pytest.mark.parametrize("extra", [1, 8, 1 << 17])
+    def test_over_long_pipe_is_rejected(self, trace_file, read_trace, extra):
+        data = trace_file.read_bytes() + bytes(extra)
+        with pytest.raises(TraceError, match="at least 1 trailing bytes after trace payload"):
+            through_a_pipe(read_trace, data)
+
+    @pytest.mark.parametrize("extra", [0, 64])
+    def test_crafted_header_allocates_what_the_pipe_holds(self, extra):
+        data = struct.pack("<4sHIII", b"MOEC", 1, U32, U32, U32) + bytes(extra)
+        def load(fp):  # one chunk of at most 1 MiB is requested, whatever the header declares
+            with pytest.raises(CheckpointError, match=f"needs {8 * (U32**2 + 2 * U32**3)} bytes, got {extra}"):
+                load_layer(fp)
+
+        _, used = traced_peak(lambda: through_a_pipe(load, data))
+        assert used < 4 << 20
 
 
 SIZES = st.integers(1, 3)

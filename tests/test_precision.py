@@ -138,12 +138,15 @@ class TestQuantizeFp8:
         with pytest.raises(ValueError, match="requires finite inputs"):
             quantize_fp8(np.array([1.0, np.inf]))
 
-    @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan])
+    # An infinite scale would map every value to the max-normal code, which
+    # dequantizes to 0.0, and a zero entry to 0 * inf, which warns.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
     def test_nonpositive_scale_rejected(self, scale):
         with pytest.raises(ValueError, match="scale must be positive"):
-            quantize_fp8(np.ones(3), scale)
+            quantize_fp8(np.array([0.0, 1.0, 2.0]), scale)
         with pytest.raises(ValueError, match="scale must be positive"):
-            dequantize_fp8(np.zeros(3, dtype=np.uint8), scale)
+            dequantize_fp8(np.array([0, 126, 254], dtype=np.uint8), scale)
 
 
 class TestBf16Round:
